@@ -51,9 +51,9 @@ bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench
 
 clean:
 	rm -rf .pytest_cache .hypothesis BENCH_*.json
-	find src tests benchmarks examples -name __pycache__ -type d -prune \
+	find src tests benchmarks examples perfbench -name __pycache__ -type d -prune \
 		-exec rm -rf {} +

@@ -190,7 +190,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget_bytes=args.budget_bytes,
         total_budget_bytes=args.total_budget_bytes,
         snapshot_dir=args.snapshot_dir,
-        allow_pickle=not args.no_pickle,
         tls_cert=args.tls_cert,
         tls_key=args.tls_key,
         tls_client_ca=args.tls_client_ca,
@@ -359,11 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registry-wide cache byte budget (cross-kernel LRU)")
     serve.add_argument("--snapshot-dir", default=None,
                        help="warm-kernel snapshot directory (persist + preload)")
-    serve.add_argument(
-        "--no-pickle",
-        action="store_true",
-        help="refuse pickle frames (msgpack only; safe for untrusted peers)",
-    )
     serve.add_argument("--tls-cert", default=None,
                        help="server TLS certificate (PEM); enables TLS")
     serve.add_argument("--tls-key", default=None,

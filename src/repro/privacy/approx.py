@@ -197,7 +197,7 @@ class SampleSpec:
         )
 
     def to_wire(self) -> list:
-        """Positional wire form (appended to a task's 5 legacy fields)."""
+        """Positional wire form (the 6th element of a sample task's wire form)."""
         return [
             self.budget,
             self.confidence,

@@ -158,8 +158,6 @@ class ShardCoordinator:
         task_timeout: float = 120.0,
         max_restarts: int = 3,
         structure_cache_size: int = DEFAULT_STRUCTURE_CACHE,
-        codec: str | None = None,
-        allow_pickle: bool = True,
         probe_interval: float | None = None,
         rebalance: bool = True,
         ring_slack: int = 1,
@@ -183,8 +181,6 @@ class ShardCoordinator:
                 snapshot_dir=snapshot_dir,
                 start_method=start_method,
                 max_restarts=max_restarts,
-                codec=codec,
-                allow_pickle=allow_pickle,
                 probe_interval=probe_interval,
                 rebalance=rebalance,
                 ring_slack=ring_slack,

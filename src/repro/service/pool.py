@@ -137,10 +137,8 @@ class PooledTransport(Transport):
         self,
         endpoints: Sequence[str | tuple],
         *,
-        codec: str | None = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         max_restarts: int = 3,
-        allow_pickle: bool = True,
         probe_interval: float | None = 1.0,
         rebalance: bool = True,
         ring_slack: int = 1,
@@ -150,10 +148,8 @@ class PooledTransport(Transport):
         addresses = [parse_address(endpoint) for endpoint in endpoints]
         if not addresses:
             raise ServiceError("a connection pool needs at least one endpoint")
-        self._codec = codec
         self._connect_timeout = float(connect_timeout)
         self._max_restarts = int(max_restarts)
-        self._allow_pickle = bool(allow_pickle)
         self._ssl_context = ssl_context
         self._auth_token = auth_token
         self._rebalance = bool(rebalance)
@@ -203,10 +199,8 @@ class PooledTransport(Transport):
     def _fresh_transport(self, address: tuple) -> SocketTransport:
         return SocketTransport(
             address,
-            codec=self._codec,
             connect_timeout=self._connect_timeout,
             max_restarts=self._max_restarts,
-            allow_pickle=self._allow_pickle,
             ssl_context=self._ssl_context,
             auth_token=self._auth_token,
         )
@@ -514,7 +508,6 @@ class PooledTransport(Transport):
             if probe_endpoint(
                 endpoint.address,
                 timeout=probe_timeout,
-                codec=self._codec,
                 ssl_context=self._ssl_context,
                 auth_token=self._auth_token,
             ):

@@ -29,21 +29,23 @@ or values.
 Everything here is a plain dataclass over ints, strings and tuples, so
 batches pickle cheaply under either multiprocessing start method.
 
-**Transport-neutral encoding.**  The socket transport cannot assume the
-peer shares a pickle-compatible code base, so every protocol object has
-a *wire form* built from nothing but lists, dicts, strings, ints and
-bools (:func:`message_to_wire` / :func:`message_from_wire`).  Frames on
-a socket are ``4-byte big-endian length || 1-byte codec tag || payload``
+**Transport-neutral encoding.**  Every protocol object has a *wire form*
+built from nothing but lists, dicts, strings, bytes, ints, floats, bools
+and ``None`` (:func:`message_to_wire` / :func:`message_from_wire`).
+Frames on a socket are ``4-byte big-endian length || payload``
 (:func:`write_frame` / :func:`read_frame`); the payload is the wire form
-serialized with msgpack when the ``msgpack`` package is importable and
-with pickle otherwise.  Because the wire form is plain data, both codecs
-produce byte-for-byte the same structure on decode.  Pickle frames are
-only safe between mutually trusting endpoints (unpickling runs code);
-the server refuses them when ``allow_pickle=False``.
+written by :func:`pickle.dumps` and read back by an unpickler whose
+``find_class`` refuses every global (the standard library's "restricting
+globals" recipe).  With no global to call, decoding can only build plain
+data, so a peer cannot make this endpoint run code.  A payload that does
+not unpickle, references a global, or is not a wire form of the right
+shape raises :class:`~repro.errors.ServiceError`.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import pickle
 import socket
 import struct
@@ -53,11 +55,6 @@ from typing import Iterable, Mapping
 from repro.errors import ServiceError
 from repro.privacy.approx import SampleSpec
 from repro.privacy.kernel_registry import RelationStructure
-
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - the baked image has no msgpack
-    msgpack = None
 
 try:  # pragma: no cover - exercised differently per environment
     import numpy as _np
@@ -267,18 +264,36 @@ class ShardReport:
 # ---------------------------------------------------------------------- #
 # Transport-neutral wire forms
 # ---------------------------------------------------------------------- #
-#: Tag opening a packed column-matrix wire form (vs legacy nested lists).
+#: Tag opening a packed column-matrix wire form.
 I64_TAG = "i64"
+
+
+def _fails_closed(from_wire):
+    """A ``*_from_wire`` decoder that raises :class:`ServiceError` on any
+    input of the wrong shape, instead of whatever unpacking, indexing or
+    conversion error the shape mismatch happens to hit first."""
+
+    @functools.wraps(from_wire)
+    def decode(wire):
+        try:
+            return from_wire(wire)
+        except ServiceError:
+            raise
+        except Exception as exc:
+            raise ServiceError(
+                f"malformed wire form for {from_wire.__name__}: {exc!r}"
+            ) from exc
+
+    return decode
 
 
 def columns_to_wire(columns: tuple[tuple[int, ...], ...]) -> list:
     """Canonical columns as one packed little-endian ``int64`` buffer.
 
     ``[I64_TAG, [n_columns, rows], raw_bytes]`` -- a dtype/shape/raw-bytes
-    triple that both codecs carry natively (msgpack bin, pickle bytes),
-    replacing the legacy nested ``list[list[int]]`` form that serialized
-    one object per cell.  Packing uses numpy when importable and
-    :mod:`struct` otherwise, producing identical bytes.
+    triple, one bytes object for the whole matrix instead of one object
+    per cell.  Packing uses numpy when importable and :mod:`struct`
+    otherwise, producing identical bytes.
     """
     n_columns = len(columns)
     rows = len(columns[0]) if columns else 0
@@ -290,18 +305,19 @@ def columns_to_wire(columns: tuple[tuple[int, ...], ...]) -> list:
     return [I64_TAG, [n_columns, rows], raw]
 
 
+@_fails_closed
 def columns_from_wire(wire: list) -> tuple[tuple[int, ...], ...]:
-    """Invert :func:`columns_to_wire`; also accepts the legacy nested form."""
-    if wire and wire[0] == I64_TAG:
-        _, (n_columns, rows), raw = wire
-        if _np is not None:
-            matrix = _np.frombuffer(raw, dtype="<i8").reshape(n_columns, rows)
-            return tuple(tuple(row) for row in matrix.tolist())
-        flat = struct.unpack(f"<{n_columns * rows}q", raw)
-        return tuple(
-            flat[column * rows : (column + 1) * rows] for column in range(n_columns)
-        )
-    return tuple(tuple(column) for column in wire)
+    """Invert :func:`columns_to_wire`."""
+    tag, (n_columns, rows), raw = wire
+    if tag != I64_TAG:
+        raise ServiceError(f"unknown column wire tag {tag!r}")
+    if _np is not None:
+        matrix = _np.frombuffer(raw, dtype="<i8").reshape(n_columns, rows)
+        return tuple(tuple(row) for row in matrix.tolist())
+    flat = struct.unpack(f"<{n_columns * rows}q", raw)
+    return tuple(
+        flat[column * rows : (column + 1) * rows] for column in range(n_columns)
+    )
 
 
 def structure_to_wire(structure: RelationStructure) -> list:
@@ -314,12 +330,9 @@ def structure_to_wire(structure: RelationStructure) -> list:
     ]
 
 
+@_fails_closed
 def structure_from_wire(wire: list) -> RelationStructure:
-    """Rebuild a :class:`RelationStructure` from its wire form.
-
-    Accepts both the packed column triples this version emits and the
-    nested-list columns of pre-PR-7 peers.
-    """
+    """Rebuild a :class:`RelationStructure` from its wire form."""
     input_sizes, output_sizes, input_columns, output_columns = wire
     return RelationStructure(
         input_domain_sizes=tuple(input_sizes),
@@ -330,34 +343,27 @@ def structure_from_wire(wire: list) -> RelationStructure:
 
 
 def task_to_wire(task: GammaTask) -> list:
-    """A task's wire form: the 5 legacy fields, plus the sample spec.
-
-    The spec element is appended only when present, so non-sample
-    traffic keeps the 5-element form pre-PR-8 peers decode (peers that
-    old could not serve sample tasks anyway).
-    """
-    wire = [
+    """A task's wire form; the sample spec (or ``None``) is always 6th."""
+    return [
         task.task_id,
         task.signature,
         list(task.visible_inputs),
         list(task.visible_outputs),
         task.want,
+        None if task.sample is None else task.sample.to_wire(),
     ]
-    if task.sample is not None:
-        wire.append(task.sample.to_wire())
-    return wire
 
 
+@_fails_closed
 def task_from_wire(wire: list) -> GammaTask:
-    task_id, signature, visible_inputs, visible_outputs, want = wire[:5]
-    sample = SampleSpec.from_wire(wire[5]) if len(wire) > 5 else None
+    task_id, signature, visible_inputs, visible_outputs, want, sample = wire
     return GammaTask(
         task_id,
         signature,
         tuple(visible_inputs),
         tuple(visible_outputs),
         want,
-        sample,
+        None if sample is None else SampleSpec.from_wire(sample),
     )
 
 
@@ -374,6 +380,7 @@ def batch_to_wire(batch: GammaBatch) -> list:
     ]
 
 
+@_fails_closed
 def batch_from_wire(wire: list) -> GammaBatch:
     batch_id, shard_id, request_id, tasks, structures = wire
     return GammaBatch(
@@ -389,22 +396,20 @@ def batch_from_wire(wire: list) -> GammaBatch:
 
 
 def result_to_wire(result: TaskResult) -> list:
-    """A result's wire form; the interval element is appended only when set."""
-    wire = [
+    """A result's wire form; the interval (or ``None``) is always 6th."""
+    return [
         result.task_id,
         result.signature,
         result.gamma,
         None if result.counts is None else list(result.counts),
         None if result.partition is None else list(result.partition),
+        None if result.interval is None else list(result.interval),
     ]
-    if result.interval is not None:
-        wire.append(list(result.interval))
-    return wire
 
 
+@_fails_closed
 def result_from_wire(wire: list) -> TaskResult:
-    task_id, signature, gamma, counts, partition = wire[:5]
-    interval = wire[5] if len(wire) > 5 else None
+    task_id, signature, gamma, counts, partition, interval = wire
     return TaskResult(
         task_id,
         signature,
@@ -432,16 +437,17 @@ def report_to_wire(report: ShardReport) -> list:
     ]
 
 
+@_fails_closed
 def report_from_wire(wire: list) -> ShardReport:
     return ShardReport(*wire)
 
 
 def plain_to_wire(value: object) -> object:
-    """Arbitrary nested tuples/ints/strings as codec-safe plain data.
+    """Arbitrary nested tuples/ints/strings as plain wire data.
 
     Kernel cache entries are keyed and valued by nested tuples of ints
-    and strings (``("partition", (0, 1))`` and the like); msgpack knows
-    nothing about tuples, so the wire form flattens them to lists.
+    and strings (``("partition", (0, 1))`` and the like); the wire form
+    flattens every sequence to a list.
     """
     if isinstance(value, (tuple, list)):
         return [plain_to_wire(item) for item in value]
@@ -467,6 +473,7 @@ def kernel_export_to_wire(payload: Mapping[str, tuple]) -> dict:
     }
 
 
+@_fails_closed
 def kernel_export_from_wire(wire: Mapping[str, list]) -> dict[str, tuple]:
     """Invert :func:`kernel_export_to_wire`."""
     return {
@@ -509,6 +516,7 @@ def message_to_wire(message: tuple) -> list:
     return [kind, *[list(part) if isinstance(part, tuple) else part for part in message[1:]]]
 
 
+@_fails_closed
 def message_from_wire(wire: list) -> tuple:
     """Invert :func:`message_to_wire`."""
     kind = wire[0]
@@ -534,93 +542,67 @@ def message_from_wire(wire: list) -> tuple:
 
 
 # ---------------------------------------------------------------------- #
-# Framing: length prefix + codec tag + encoded wire form
+# Framing: length prefix + data-only payload
 # ---------------------------------------------------------------------- #
-#: Codec tags carried in the frame header.
-CODEC_PICKLE = "pickle"
-CODEC_MSGPACK = "msgpack"
-
-_CODEC_BYTES = {CODEC_PICKLE: b"P", CODEC_MSGPACK: b"M"}
-_CODEC_NAMES = {byte: name for name, byte in _CODEC_BYTES.items()}
-
 #: Frames above this size are rejected before allocation (corruption guard).
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
 
-def default_codec() -> str:
-    """msgpack when importable, pickle otherwise (the baked fallback)."""
-    return CODEC_MSGPACK if msgpack is not None else CODEC_PICKLE
+class _DataOnlyUnpickler(pickle.Unpickler):
+    """An unpickler that refuses every global.
+
+    Every pickle opcode that calls something (``REDUCE``, ``BUILD``,
+    ``NEWOBJ``, ``INST``, ``OBJ``) needs a callable that only a global
+    lookup can produce, and extension codes resolve through
+    :meth:`find_class` too; refusing all of them leaves containers,
+    strings, bytes and numbers.  Persistent ids are refused by the base
+    class, which defines no ``persistent_load``.
+    """
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(
+            f"frame references the global {module}.{name}; "
+            "frames carry plain data only"
+        )
 
 
-def encode_payload(wire: object, codec: str) -> bytes:
-    """Serialize an already-wire-form object with the chosen codec."""
-    if codec == CODEC_PICKLE:
-        return pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ServiceError("msgpack codec requested but msgpack is not installed")
-        return msgpack.packb(wire, use_bin_type=True)
-    raise ServiceError(f"unknown frame codec {codec!r}")
+def decode_payload(payload: bytes) -> object:
+    """Deserialize a frame payload into plain data, or raise ServiceError."""
+    try:
+        return _DataOnlyUnpickler(io.BytesIO(payload)).load()
+    except Exception as exc:
+        raise ServiceError(f"undecodable frame payload: {exc!r}") from exc
 
 
-def decode_payload(payload: bytes, codec: str, *, allow_pickle: bool = True) -> object:
-    """Deserialize a frame payload (refusing pickle when disallowed)."""
-    if codec == CODEC_PICKLE:
-        if not allow_pickle:
-            raise ServiceError(
-                "peer sent a pickle frame but this endpoint only accepts "
-                "msgpack (allow_pickle=False)"
-            )
-        return pickle.loads(payload)
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ServiceError("msgpack frame received but msgpack is not installed")
-        return msgpack.unpackb(payload, raw=False, strict_map_key=False)
-    raise ServiceError(f"unknown frame codec {codec!r}")
+def encode_frame(message: tuple) -> bytes:
+    """One message as a complete frame (length prefix + payload)."""
+    payload = pickle.dumps(message_to_wire(message), protocol=pickle.HIGHEST_PROTOCOL)
+    return _LENGTH.pack(len(payload)) + payload
 
 
-def encode_frame(message: tuple, codec: str | None = None) -> bytes:
-    """One message as a complete frame (header + payload)."""
-    codec = codec or default_codec()
-    payload = encode_payload(message_to_wire(message), codec)
-    return _LENGTH.pack(len(payload)) + _CODEC_BYTES[codec] + payload
-
-
-def decode_frame_from_buffer(
-    buffer: bytearray, *, allow_pickle: bool = True, with_codec: bool = False
-) -> tuple | None:
+def decode_frame_from_buffer(buffer: bytearray) -> tuple | None:
     """Decode and consume one complete frame from ``buffer``.
 
     Returns ``None`` when the buffer holds only part of a frame (the
     bytes are left in place for the caller to extend) -- this is what
     lets a polling client survive a receive timeout that lands
-    mid-frame without desyncing the stream.  With ``with_codec=True``
-    returns ``(message, codec)``, mirroring :func:`read_frame` for
-    callers (the TLS server read path) that assemble frames from a
-    buffer but still answer in the client's codec.  Raises
-    :class:`ServiceError` on unknown codec tags and oversized lengths.
+    mid-frame without desyncing the stream.  Raises
+    :class:`ServiceError` on oversized lengths and on payloads that do
+    not decode to a message (the frame is consumed either way).
     """
-    header_size = _LENGTH.size + 1
-    if len(buffer) < header_size:
+    if len(buffer) < _LENGTH.size:
         return None
-    (length,) = _LENGTH.unpack(bytes(buffer[: _LENGTH.size]))
-    codec = _CODEC_NAMES.get(bytes(buffer[_LENGTH.size : header_size]))
-    if codec is None:
-        raise ServiceError(
-            f"unknown frame codec tag {bytes(buffer[_LENGTH.size:header_size])!r}"
-        )
+    (length,) = _LENGTH.unpack_from(buffer)
     if length > MAX_FRAME_BYTES:
         raise ServiceError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
-    if len(buffer) < header_size + length:
+    end = _LENGTH.size + length
+    if len(buffer) < end:
         return None
-    payload = bytes(buffer[header_size : header_size + length])
-    del buffer[: header_size + length]
-    message = message_from_wire(
-        decode_payload(payload, codec, allow_pickle=allow_pickle)
-    )
-    return (message, codec) if with_codec else message
+    payload = bytes(buffer[_LENGTH.size : end])
+    del buffer[:end]
+    return message_from_wire(decode_payload(payload))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -640,38 +622,28 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def write_frame(sock: socket.socket, message: tuple, codec: str | None = None) -> None:
+def write_frame(sock: socket.socket, message: tuple) -> None:
     """Send one framed message on a (blocking or timeout) socket."""
-    sock.sendall(encode_frame(message, codec))
+    sock.sendall(encode_frame(message))
 
 
-def read_frame(
-    sock: socket.socket, *, allow_pickle: bool = True, with_codec: bool = False
-) -> tuple | None:
+def read_frame(sock: socket.socket) -> tuple | None:
     """Read one framed message; ``None`` on orderly EOF.
 
-    With ``with_codec=True`` returns ``(message, codec)`` so a server
-    can answer in whatever codec the client speaks.  Raises
-    :class:`ServiceError` on torn frames, unknown codec tags and
-    oversized lengths (a corrupted or hostile peer must not drive an
-    arbitrary-size allocation).
+    Raises :class:`ServiceError` on torn frames, oversized lengths (a
+    corrupted or hostile peer must not drive an arbitrary-size
+    allocation) and payloads that do not decode to a message.
     """
-    header = _recv_exact(sock, _LENGTH.size + 1)
+    header = _recv_exact(sock, _LENGTH.size)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header[: _LENGTH.size])
-    codec = _CODEC_NAMES.get(header[_LENGTH.size : _LENGTH.size + 1])
-    if codec is None:
-        raise ServiceError(f"unknown frame codec tag {header[-1:]!r}")
+    (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise ServiceError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
     payload = _recv_exact(sock, length) if length else b""
     if payload is None:
         raise ServiceError("connection closed between frame header and payload")
-    message = message_from_wire(
-        decode_payload(payload, codec, allow_pickle=allow_pickle)
-    )
-    return (message, codec) if with_codec else message
+    return message_from_wire(decode_payload(payload))
 
 
 def merge_kernel_stats(

@@ -12,10 +12,10 @@ sent.  This module centralises the pieces:
   :mod:`ssl` module so no third-party dependency is introduced.
 * **The token handshake** -- a fixed-format *raw* preamble (magic bytes,
   2-byte length, token) exchanged immediately after the TLS handshake
-  and **before any pickle/msgpack decode**: the server validates the
-  token with a constant-time compare against its policy table and closes
-  the connection on mismatch, so unauthenticated peers never reach the
-  codec layer.  The reply is a fixed 4-byte status
+  and **before any frame is decoded**: the server validates the token
+  with a constant-time compare against its policy table and closes the
+  connection on mismatch, so unauthenticated peers never reach the
+  frame decoder.  The reply is a fixed 4-byte status
   (:data:`AUTH_OK` / :data:`AUTH_REJECT`), never a protocol frame.
 * **The tenant policy table** -- :class:`TenantPolicy` /
   :class:`PolicyTable` map tokens to tenant identities and carry the
@@ -72,7 +72,7 @@ __all__ = [
 #: does not expect one is dropped instead of half-interpreted.
 AUTH_MAGIC = b"GTOK1"
 #: Fixed 4-byte handshake replies (raw bytes, not frames -- the client
-#: must not have to run a codec before knowing it is authenticated).
+#: must not have to decode a frame before knowing it is authenticated).
 AUTH_OK = b"GOK!"
 AUTH_REJECT = b"GNO!"
 #: Upper bound on the UTF-8 token length; anything longer is rejected
@@ -129,8 +129,8 @@ def read_token_preamble(sock: socket.socket) -> bytes | None:
     """Server side: the peer's token bytes, or ``None`` when the peer
     did not open with :data:`AUTH_MAGIC` or truncated the preamble.
 
-    Reads nothing beyond the fixed-format preamble and never touches a
-    codec, so this is safe to run against an untrusted peer.
+    Reads nothing beyond the fixed-format preamble and never decodes a
+    frame, so this is safe to run against an untrusted peer.
     """
     try:
         magic = _recv_exact(sock, len(AUTH_MAGIC))

@@ -11,7 +11,7 @@ client from one shared, snapshot-backed
 kernels one tenant warmed are hits for every other tenant with a
 structurally identical module.
 
-Handled frames (one reply per request, in the client's codec):
+Handled frames (one reply per request):
 
 * ``("batch", GammaBatch)`` -> ``("batch", shard_id, batch_id, results,
   report)`` or ``("error", shard_id, batch_id, traceback)``.  Clients
@@ -57,10 +57,11 @@ server-side TLS (optionally verifying client certificates against
 ``tls_client_ca``), and a policy table with tokens requires the raw
 token preamble of :mod:`repro.service.security` on every connection --
 validated with a constant-time compare *before any frame is decoded*,
-so unauthenticated peers never reach the pickle/msgpack layer.  A
-pickle frame still executes arbitrary code when decoded *after* auth,
-so servers shared with semi-trusted tenants should additionally run
-``allow_pickle=False`` (the msgpack codec is data-only).
+so unauthenticated peers never reach the frame decoder.  Authenticated
+peers reach only the data-only decoder of :mod:`repro.service.protocol`:
+a frame that does not decode to a well-formed message -- including one
+that references any global -- drops that client and counts in the
+``server_errors`` stat, while every other tenant keeps being served.
 """
 
 from __future__ import annotations
@@ -198,8 +199,7 @@ class _Tenant:
         #: socket operations through this lock (plaintext sockets are
         #: full-duplex and skip it).
         self.io_lock = io_lock
-        #: Queued (batch, structures, codec, enqueued_at, depth, units)
-        #: items, FIFO.
+        #: Queued (batch, structures, enqueued_at, depth, units) items, FIFO.
         self.pending: deque[tuple] = deque()
         #: Outbound reply frames, drained by this tenant's writer thread.
         #: Dispatchers must never block on a tenant's socket -- a tenant
@@ -245,18 +245,17 @@ class _Tenant:
 
     def _write_loop(self) -> None:
         while True:
-            item = self.outbox.get()
-            if item is _WRITER_STOP:
+            message = self.outbox.get()
+            if message is _WRITER_STOP:
                 return
-            message, codec = item
             try:
-                payload = encode_frame(message, codec)
+                payload = encode_frame(message)
             except Exception as exc:
-                # A poisoned reply payload (unpicklable stats value,
-                # msgpack-hostile object...) must not silently kill the
-                # writer thread and hang every later reply: count it and
-                # answer with a structured error so the client is not
-                # left waiting either.
+                # A poisoned reply payload (an unpicklable stats value,
+                # say) must not silently kill the writer thread and hang
+                # every later reply: count it and answer with a
+                # structured error so the client is not left waiting
+                # either.
                 self._on_error()
                 shard_id, batch_id = 0, 0
                 kind = message[0] if message else "?"
@@ -269,8 +268,7 @@ class _Tenant:
                             shard_id,
                             batch_id,
                             f"server failed to encode the {kind!r} reply: {exc!r}",
-                        ),
-                        codec,
+                        )
                     )
                 except Exception:  # pragma: no cover - error text is plain
                     continue
@@ -284,10 +282,10 @@ class _Tenant:
                 self._on_error()
                 return
 
-    def send(self, message: tuple, codec: str) -> bool:
+    def send(self, message: tuple) -> bool:
         """Queue one reply frame; drops the tenant when it stopped reading."""
         try:
-            self.outbox.put_nowait((message, codec))
+            self.outbox.put_nowait(message)
             return True
         except queue_module.Full:
             self.drop()
@@ -449,7 +447,7 @@ class _FairScheduler:
         """Queue one batch: ``("queued", 0)``, ``("closed", 0)`` on a
         stopping server / dropped tenant, or ``("overload",
         retry_after_ms)`` when the queue is full and credit exhausted."""
-        units = item[5]
+        units = item[4]
         with self._cond:
             while (
                 len(tenant.pending) >= tenant.max_depth
@@ -480,9 +478,9 @@ class _FairScheduler:
             self._rotation.append(tenant_id)
             if tenant.pending and tenant.deficit > 0.0:
                 item = tenant.pending.popleft()
-                units = self._charge(item[0], item[5])
+                units = self._charge(item[0], item[4])
                 tenant.deficit -= units
-                tenant.queued_units = max(tenant.queued_units - item[5], 0.0)
+                tenant.queued_units = max(tenant.queued_units - item[4], 0.0)
                 tenant.dispatched += 1
                 self._quantum_units += COST_EWMA_ALPHA * (
                     units - self._quantum_units
@@ -545,14 +543,14 @@ class _FairScheduler:
                 if entry is None:
                     return  # stopping and drained
             tenant, item = entry
-            wait_ms = (time.monotonic() - item[3]) * 1000.0
+            wait_ms = (time.monotonic() - item[2]) * 1000.0
             with self._cond:
                 self._waits_ms.append(wait_ms)
                 tenant.waits_ms.append(wait_ms)
             started = time.monotonic()
             self._dispatch(tenant, item, wait_ms)
             self.observe_service_time(
-                item[0], item[5], (time.monotonic() - started) * 1000.0
+                item[0], item[4], (time.monotonic() - started) * 1000.0
             )
 
     # -- gauges ---------------------------------------------------------
@@ -654,7 +652,6 @@ class GammaServer:
         total_budget_bytes: int | None = None,
         snapshot_dir: str | None = None,
         structure_cache_size: int = DEFAULT_SERVER_STRUCTURES,
-        allow_pickle: bool = True,
         allow_remote_stop: bool = True,
         backlog: int = 16,
         fair_dispatchers: int | None = None,
@@ -667,7 +664,6 @@ class GammaServer:
         handshake_timeout: float = DEFAULT_HANDSHAKE_TIMEOUT,
     ) -> None:
         parsed = parse_address(address)
-        self.allow_pickle = bool(allow_pickle)
         self.allow_remote_stop = bool(allow_remote_stop)
         if ssl_context is None and tls_cert is not None:
             if tls_key is None:
@@ -985,7 +981,7 @@ class GammaServer:
         here: a dispatcher blocking on one tenant's socket would starve
         every other tenant.
         """
-        batch, structures, codec, _enqueued_at, depth, _units = item
+        batch, structures, _enqueued_at, depth, _units = item
         try:
             results, report = self._evaluate(batch, structures)
         except Exception:
@@ -1004,7 +1000,7 @@ class GammaServer:
                 tenant=tenant.name,
             )
             reply = (MSG_BATCH, batch.shard_id, batch.batch_id, results, report)
-        tenant.send(reply, codec)
+        tenant.send(reply)
 
     def _handshake(
         self, conn: socket.socket
@@ -1069,7 +1065,7 @@ class GammaServer:
         io_lock: threading.Lock | None,
         rxbuf: bytearray,
     ) -> tuple | None:
-        """One (message, codec) frame, or None on EOF/shutdown.
+        """One decoded frame, or None on EOF/shutdown.
 
         Plaintext connections block in :func:`read_frame` -- the socket
         is full-duplex, so the writer thread needs no coordination.  A
@@ -1080,11 +1076,9 @@ class GammaServer:
         *outside* the lock so replies flow while it idles.
         """
         if io_lock is None:
-            return read_frame(conn, allow_pickle=self.allow_pickle, with_codec=True)
+            return read_frame(conn)
         while not self._stop_event.is_set():
-            decoded = decode_frame_from_buffer(
-                rxbuf, allow_pickle=self.allow_pickle, with_codec=True
-            )
+            decoded = decode_frame_from_buffer(rxbuf)
             if decoded is not None:
                 return decoded
             with io_lock:
@@ -1146,90 +1140,17 @@ class GammaServer:
         rxbuf = bytearray()
         try:
             while not self._stop_event.is_set():
-                try:
-                    frame = self._next_frame(conn, io_lock, rxbuf)
-                except ServiceError:
-                    break  # torn frame / refused codec: drop the client
-                except (ssl.SSLError, OSError):
+                message = self._next_frame(conn, io_lock, rxbuf)
+                if message is None or not self._handle_message(tenant, message):
                     break
-                if frame is None:
-                    break
-                message, codec = frame
-                kind = message[0]
-                if kind == MSG_BATCH:
-                    batch: GammaBatch = message[1]
-                    missing, structures = self._register_structures(batch)
-                    if missing:
-                        if not tenant.send((MSG_NEED, batch.batch_id, missing), codec):
-                            break
-                        continue
-                    if not batch.tasks:
-                        report = ShardReport(
-                            shard_id=batch.shard_id,
-                            batch_id=batch.batch_id,
-                            completed=0,
-                            kernel_stats={},
-                        )
-                        if not tenant.send(
-                            (MSG_BATCH, batch.shard_id, batch.batch_id, (), report),
-                            codec,
-                        ):
-                            break
-                        continue
-                    units = self._scheduler.estimate_units(batch, structures)
-                    queued = (
-                        batch,
-                        structures,
-                        codec,
-                        time.monotonic(),
-                        len(tenant.pending),
-                        units,
-                    )
-                    verdict, retry_after_ms = self._scheduler.enqueue(tenant, queued)
-                    if verdict == "closed":
-                        break  # server stopping under us
-                    if verdict == "overload":
-                        # Admission control shed the batch: tell the
-                        # client when to retry instead of freezing its
-                        # connection behind an over-quota backlog.
-                        if not tenant.send(
-                            (
-                                MSG_OVERLOAD,
-                                batch.shard_id,
-                                batch.batch_id,
-                                retry_after_ms,
-                            ),
-                            codec,
-                        ):
-                            break
-                elif kind == MSG_STATS:
-                    if not tenant.send((MSG_STATS, self.stats()), codec):
-                        break
-                elif kind == MSG_PING:
-                    # Answered inline by the reader thread: the health
-                    # prober's liveness check must round-trip even when
-                    # every dispatcher is busy evaluating.
-                    if not tenant.send((MSG_PONG, 0), codec):
-                        break
-                elif kind == MSG_EXPORT:
-                    payload = self._backend.export_kernel_entries(message[1])
-                    if not tenant.send((MSG_EXPORTED, payload), codec):
-                        break
-                elif kind == MSG_IMPORT:
-                    imported = self._backend.import_kernel_entries(message[1])
-                    self._register_imported_structures(message[1])
-                    if not tenant.send((MSG_IMPORTED, imported), codec):
-                        break
-                elif kind == MSG_STOP:
-                    tenant.send((MSG_STOPPED, 0), codec)
-                    if self.allow_remote_stop:
-                        self._stop_event.set()
-                    break
-                else:
-                    if not tenant.send(
-                        (MSG_ERROR, 0, 0, f"unknown message kind {kind!r}"), codec
-                    ):
-                        break
+        except (ssl.SSLError, OSError):
+            pass  # the peer went away
+        except Exception:
+            # A frame that is torn, oversized, refused by the data-only
+            # decoder or of the wrong shape (ServiceError), or a
+            # well-formed message whose contents break its handler:
+            # drop this client, keep serving every other one.
+            self._count_server_error()
         finally:
             self._scheduler.unregister(tenant)
             tenant.stop_writer()  # flushes queued replies, then stops
@@ -1237,6 +1158,58 @@ class GammaServer:
                 self._connections.discard(conn)
             with contextlib.suppress(OSError):
                 conn.close()
+
+    def _handle_message(self, tenant: _Tenant, message: tuple) -> bool:
+        """Answer or enqueue one client message; False ends the connection."""
+        kind = message[0]
+        if kind == MSG_BATCH:
+            batch: GammaBatch = message[1]
+            missing, structures = self._register_structures(batch)
+            if missing:
+                return tenant.send((MSG_NEED, batch.batch_id, missing))
+            if not batch.tasks:
+                report = ShardReport(
+                    shard_id=batch.shard_id,
+                    batch_id=batch.batch_id,
+                    completed=0,
+                    kernel_stats={},
+                )
+                return tenant.send(
+                    (MSG_BATCH, batch.shard_id, batch.batch_id, (), report)
+                )
+            units = self._scheduler.estimate_units(batch, structures)
+            queued = (batch, structures, time.monotonic(), len(tenant.pending), units)
+            verdict, retry_after_ms = self._scheduler.enqueue(tenant, queued)
+            if verdict == "closed":
+                return False  # server stopping under us
+            if verdict == "overload":
+                # Admission control shed the batch: tell the client when
+                # to retry instead of freezing its connection behind an
+                # over-quota backlog.
+                return tenant.send(
+                    (MSG_OVERLOAD, batch.shard_id, batch.batch_id, retry_after_ms)
+                )
+            return True
+        if kind == MSG_STATS:
+            return tenant.send((MSG_STATS, self.stats()))
+        if kind == MSG_PING:
+            # Answered inline by the reader thread: the health prober's
+            # liveness check must round-trip even when every dispatcher
+            # is busy evaluating.
+            return tenant.send((MSG_PONG, 0))
+        if kind == MSG_EXPORT:
+            payload = self._backend.export_kernel_entries(message[1])
+            return tenant.send((MSG_EXPORTED, payload))
+        if kind == MSG_IMPORT:
+            imported = self._backend.import_kernel_entries(message[1])
+            self._register_imported_structures(message[1])
+            return tenant.send((MSG_IMPORTED, imported))
+        if kind == MSG_STOP:
+            tenant.send((MSG_STOPPED, 0))
+            if self.allow_remote_stop:
+                self._stop_event.set()
+            return False
+        return tenant.send((MSG_ERROR, 0, 0, f"unknown message kind {kind!r}"))
 
     def __repr__(self) -> str:
         return (

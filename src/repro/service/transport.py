@@ -19,8 +19,8 @@ through the same six verbs (``unshipped`` / ``submit`` / ``poll`` /
   process, queues per shard, crash detection by liveness probe,
   respawn with warm-snapshot preload), extracted out of the old
   ``ShardCoordinator``.
-* :class:`SocketTransport` -- length-prefixed frames (msgpack or
-  pickle, :mod:`repro.service.protocol`) over a unix-domain or TCP
+* :class:`SocketTransport` -- length-prefixed frames of plain data
+  (:mod:`repro.service.protocol`) over a unix-domain or TCP
   socket to a standalone :mod:`repro.service.server` process, so
   several client processes -- or machines -- share one warm
   multi-tenant kernel service.  A broken connection is signaled exactly
@@ -159,7 +159,6 @@ def probe_endpoint(
     address: str | tuple,
     *,
     timeout: float = DEFAULT_CONNECT_TIMEOUT,
-    codec: str | None = None,
     ssl_context: ssl.SSLContext | None = None,
     auth_token: str | None = None,
 ) -> bool:
@@ -185,7 +184,7 @@ def probe_endpoint(
         return False
     try:
         sock.settimeout(timeout)
-        write_frame(sock, (MSG_PING,), codec)
+        write_frame(sock, (MSG_PING,))
         reply = read_frame(sock)
         return bool(reply) and reply[0] == MSG_PONG
     except (ServiceError, OSError):
@@ -647,6 +646,10 @@ class MultiprocessTransport(Transport):
             if message[0] == "stopped":
                 acked.add(message[1])
         for shard in self._shards:
+            if shard.shard_id not in waiting and shard.process.is_alive():
+                # Sent no SHUTDOWN (nothing to snapshot): a timed join
+                # would only wait out its timeout before terminating.
+                shard.process.terminate()
             shard.process.join(timeout=2.0)
             if shard.process.is_alive():
                 shard.process.terminate()
@@ -805,22 +808,15 @@ class SocketTransport(Transport):
         self,
         address: str | tuple,
         *,
-        codec: str | None = None,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         max_restarts: int = 3,
-        allow_pickle: bool = True,
         backoff: ExponentialBackoff | None = None,
         ssl_context: ssl.SSLContext | None = None,
         auth_token: str | None = None,
     ) -> None:
         self.address = parse_address(address)
-        self.codec = codec
         #: Jittered reconnect schedule consumed by :meth:`recover`.
         self.backoff = backoff if backoff is not None else ExponentialBackoff()
-        #: Refuse pickle-tagged reply frames (pickle executes code on
-        #: decode) -- pair with a ``--no-pickle`` server and the msgpack
-        #: codec when the peer is not fully trusted.
-        self.allow_pickle = bool(allow_pickle)
         self.connect_timeout = float(connect_timeout)
         self.max_restarts = int(max_restarts)
         self.ssl_context = ssl_context
@@ -886,7 +882,7 @@ class SocketTransport(Transport):
         self._drain_ready()
         try:
             self._sock.settimeout(self.connect_timeout)
-            write_frame(self._sock, (MSG_BATCH, batch), self.codec)
+            write_frame(self._sock, (MSG_BATCH, batch))
         except (OSError, ValueError) as exc:
             self._dead = True
             raise TransportSendError(
@@ -894,12 +890,11 @@ class SocketTransport(Transport):
             ) from exc
 
     def _decode_buffered(self) -> tuple | None:
-        """One frame from the receive buffer; marks the stream dead on
-        corruption (the only unrecoverable framing state)."""
+        """One frame from the receive buffer; marks the stream dead on a
+        frame that does not decode to a message (the only unrecoverable
+        framing state), so the coordinator recovers the connection."""
         try:
-            return decode_frame_from_buffer(
-                self._rxbuf, allow_pickle=self.allow_pickle
-            )
+            return decode_frame_from_buffer(self._rxbuf)
         except ServiceError:
             self._dead = True
             return None
@@ -1083,7 +1078,7 @@ class SocketTransport(Transport):
             # The caller's budget caps the write too: a hung endpoint
             # must not stretch a budgeted probe to connect_timeout.
             self._sock.settimeout(max(min(self.connect_timeout, timeout), 0.001))
-            write_frame(self._sock, request, self.codec)
+            write_frame(self._sock, request)
         except (OSError, ValueError) as exc:
             self._dead = True
             raise ServiceError(
@@ -1163,8 +1158,6 @@ def build_transport(
     snapshot_dir: str | None = None,
     start_method: str | None = None,
     max_restarts: int = 3,
-    codec: str | None = None,
-    allow_pickle: bool = True,
     probe_interval: float | None = None,
     rebalance: bool = True,
     ring_slack: int = 1,
@@ -1195,9 +1188,7 @@ def build_transport(
 
         return PooledTransport(
             endpoints,
-            codec=codec,
             max_restarts=max_restarts,
-            allow_pickle=allow_pickle,
             probe_interval=probe_interval,
             rebalance=rebalance,
             ring_slack=ring_slack,
@@ -1207,9 +1198,7 @@ def build_transport(
     if address is not None:
         return SocketTransport(
             address,
-            codec=codec,
             max_restarts=max_restarts,
-            allow_pickle=allow_pickle,
             ssl_context=ssl_context,
             auth_token=auth_token,
         )

@@ -404,11 +404,13 @@ class TestServiceIntegration:
 
 
 class TestWireCompat:
-    def test_plain_task_keeps_legacy_five_element_form(self):
+    def test_plain_task_carries_none_as_sixth_element(self):
         task = GammaTask(1, "a" * 64, (0,), (1,), "gamma")
         wire = task_to_wire(task)
-        assert len(wire) == 5
+        assert len(wire) == 6 and wire[5] is None
         assert task_from_wire(wire) == task
+        with pytest.raises(ServiceError):
+            task_from_wire(wire[:5])
 
     def test_sample_task_roundtrips_with_spec(self):
         spec = SampleSpec(budget=33, seed=6, threshold=2)
@@ -423,14 +425,16 @@ class TestWireCompat:
         with pytest.raises(ServiceError):
             GammaTask(1, "c" * 64, (0,), (1,), "gamma", SampleSpec())
 
-    def test_result_roundtrips_and_tolerates_legacy_form(self):
+    def test_result_roundtrips_and_rejects_legacy_form(self):
         result = TaskResult(3, "d" * 64, 2, interval=(2, 5, 16, 1, 0, 3, 3))
         wire = result_to_wire(result)
         assert len(wire) == 6
         assert result_from_wire(wire) == result
-        legacy = TaskResult(4, "e" * 64, 7)
-        assert len(result_to_wire(legacy)) == 5
-        assert result_from_wire(result_to_wire(legacy)).interval is None
+        plain = TaskResult(4, "e" * 64, 7)
+        assert len(result_to_wire(plain)) == 6
+        assert result_from_wire(result_to_wire(plain)).interval is None
+        with pytest.raises(ServiceError):
+            result_from_wire(result_to_wire(plain)[:5])
 
 
 class TestKernelRelationAdapter:

@@ -263,7 +263,7 @@ class TestTLSFailureModes:
                 # First bytes are a protocol frame, not AUTH_MAGIC: the
                 # server must reject before decoding it.
                 sock.settimeout(5.0)
-                sock.sendall(encode_frame((MSG_PING,), "pickle"))
+                sock.sendall(encode_frame((MSG_PING,)))
                 try:
                     reply = read_frame(sock)
                 except (ServiceError, OSError):
@@ -376,12 +376,12 @@ class TestWriterPoisonRegression:
                 sock = connect(server.address, timeout=5.0)
                 try:
                     sock.settimeout(5.0)
-                    sock.sendall(encode_frame((MSG_STATS,), "pickle"))
+                    sock.sendall(encode_frame((MSG_STATS,)))
                     reply = read_frame(sock)
                     assert reply[0] == MSG_ERROR
                     assert "encode" in reply[3]
                     # Same connection, same writer thread: still alive.
-                    sock.sendall(encode_frame((MSG_PING,), "pickle"))
+                    sock.sendall(encode_frame((MSG_PING,)))
                     assert read_frame(sock)[0] == MSG_PONG
                 finally:
                     sock.close()
@@ -402,7 +402,7 @@ def fake_batch(signature="sig", tasks=1):
 
 
 def fake_item(units=1.0, signature="sig"):
-    return (fake_batch(signature), {}, "pickle", time.monotonic(), 0, units)
+    return (fake_batch(signature), {}, time.monotonic(), 0, units)
 
 
 def make_tenant(tenant_id, name, weight, max_depth=10_000):

@@ -4,7 +4,8 @@ The cross-transport equivalence, pipelining and recovery contracts
 (formerly per-transport copies here) live in
 ``test_transport_conformance.py`` as one parametrized matrix; this file
 keeps what is *not* a per-transport contract: frame/wire round-trips,
-socket-server specifics (shared warm kernels across tenants, the
+the data-only frame decoder failing closed (malformed and code-carrying
+payloads, plus a decoder fuzz property), socket-server specifics (shared warm kernels across tenants, the
 ``need``-structures re-ship, restart budgets, the stats probe),
 connection-pool unit behavior, the coordinator's speculative-error
 banking, discard bookkeeping and structure LRU, and snapshot-store GC +
@@ -14,9 +15,14 @@ compaction.
 from __future__ import annotations
 
 import os
+import pickle
 import socket
+import struct
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from service_workloads import entry_requests, search_requirements
 
 from repro.errors import ServiceError, WorkerCrashError
@@ -40,6 +46,7 @@ from repro.service.protocol import (
     TaskResult,
     batch_from_wire,
     batch_to_wire,
+    decode_frame_from_buffer,
     encode_frame,
     message_from_wire,
     message_to_wire,
@@ -110,8 +117,6 @@ class TestWireForms:
             right.close()
 
     def test_partial_frames_survive_in_buffer(self):
-        from repro.service.protocol import decode_frame_from_buffer
-
         message = (MSG_NEED, 7, ("aa", "bb"))
         frame = encode_frame(message)
         # Feed the frame byte by byte: every prefix decodes to None and
@@ -141,26 +146,6 @@ class TestWireForms:
         finally:
             right.close()
 
-    def test_unknown_codec_tag_rejected(self):
-        left, right = socket.socketpair()
-        try:
-            left.sendall(b"\x00\x00\x00\x01Zx")
-            with pytest.raises(ServiceError, match="codec tag"):
-                read_frame(right)
-        finally:
-            left.close()
-            right.close()
-
-    def test_pickle_refused_when_disallowed(self):
-        left, right = socket.socketpair()
-        try:
-            write_frame(left, (MSG_NEED, 1, ("aa",)), "pickle")
-            with pytest.raises(ServiceError, match="pickle"):
-                read_frame(right, allow_pickle=False)
-        finally:
-            left.close()
-            right.close()
-
     def test_parse_address_forms(self):
         assert parse_address("/tmp/x.sock") == ("unix", "/tmp/x.sock")
         assert parse_address("unix:/tmp/x.sock") == ("unix", "/tmp/x.sock")
@@ -169,6 +154,143 @@ class TestWireForms:
         assert parse_address(("unix", "/x")) == ("unix", "/x")
         with pytest.raises(ServiceError):
             parse_address("not-an-address")
+
+
+def raw_frame(payload: bytes) -> bytes:
+    """``payload`` behind a valid length prefix, whatever it holds."""
+    return struct.pack(">I", len(payload)) + payload
+
+
+class _CreatesFile:
+    """Pickles to a call of ``open(path, "w")``: decoding it runs code."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+#: Validly framed, validly pickled payloads that are not messages.
+MALFORMED_PAYLOADS = (["batch", [1]], [], ["need", 1], {"a": 1})
+
+
+class TestDataOnlyFrames:
+    def test_malformed_and_code_carrying_frames_drop_only_their_client(
+        self, tmp_path, monkeypatch
+    ):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        victim = tmp_path / "created-by-a-frame"
+        evil = pickle.dumps(["ping", _CreatesFile(str(victim))])
+        payloads = [pickle.dumps(wire) for wire in MALFORMED_PAYLOADS] + [evil]
+        relation = ModuleRelation.random("F", seed=61)
+        baseline = ShardCoordinator(0).gammas(entry_requests(relation))
+        with GammaServer(("unix", str(tmp_path / "closed.sock"))) as server:
+            for payload in payloads:
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(5.0)
+                sock.connect(server.address[1])
+                try:
+                    sock.sendall(raw_frame(payload))
+                    # Dropped without an answer.
+                    assert sock.recv(1) == b""
+                finally:
+                    sock.close()
+            assert server.stats()["server_errors"] == len(payloads)
+            with ShardCoordinator(address=server.address) as client:
+                assert client.gammas(entry_requests(relation)) == baseline
+        assert not victim.exists()
+        assert uncaught == []
+
+    def test_code_carrying_reply_is_refused_by_the_client(self, tmp_path):
+        victim = tmp_path / "created-by-a-reply"
+        path = str(tmp_path / "hostile.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+
+        def hostile_server():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)
+                reply = ["stats", _CreatesFile(str(victim))]
+                conn.sendall(raw_frame(pickle.dumps(reply)))
+                conn.recv(1)  # hold the connection until the client leaves
+
+        thread = threading.Thread(target=hostile_server, daemon=True)
+        thread.start()
+        try:
+            transport = SocketTransport(("unix", path), max_restarts=0)
+            try:
+                with pytest.raises(ServiceError):
+                    transport.fetch_stats(timeout=5.0)
+                assert transport.is_dead
+                assert transport.crashed_shards((0,)) == (0,)
+            finally:
+                transport.close()
+            thread.join(timeout=5.0)
+        finally:
+            listener.close()
+        assert not victim.exists()
+
+    def test_refused_global_raises_service_error_in_both_readers(self, tmp_path):
+        victim = tmp_path / "created-by-a-read"
+        frame = raw_frame(pickle.dumps(["ping", _CreatesFile(str(victim))]))
+        with pytest.raises(ServiceError, match="global"):
+            decode_frame_from_buffer(bytearray(frame))
+        left, right = socket.socketpair()
+        try:
+            left.sendall(frame)
+            with pytest.raises(ServiceError, match="global"):
+                read_frame(right)
+        finally:
+            left.close()
+            right.close()
+        assert not victim.exists()
+
+
+#: Leaves of the fuzzed plain-data trees; message kinds are over-sampled
+#: so trees reach the per-kind decoders, not just the kind dispatch.
+PLAIN_LEAVES = (
+    st.none()
+    | st.integers()
+    | st.binary(max_size=16)
+    | st.sampled_from(["batch", "need", "export", "exported", "import", "i64"])
+    | st.text(max_size=8)
+)
+PLAIN_TREES = st.recursive(
+    PLAIN_LEAVES,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), children, max_size=4),
+    max_leaves=24,
+)
+FUZZED_STREAMS = (
+    st.binary(max_size=96)
+    | st.binary(max_size=96).map(raw_frame)
+    | PLAIN_TREES.map(lambda tree: raw_frame(pickle.dumps(tree)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=FUZZED_STREAMS)
+def test_decoders_yield_a_message_a_partial_frame_or_service_error(stream):
+    try:
+        decoded = decode_frame_from_buffer(bytearray(stream))
+    except ServiceError:
+        decoded = None
+    assert decoded is None or isinstance(decoded, tuple)
+    left, right = socket.socketpair()
+    try:
+        left.sendall(stream)
+        left.close()
+        try:
+            read = read_frame(right)
+        except ServiceError:
+            read = None
+        assert read is None or isinstance(read, tuple)
+    finally:
+        right.close()
 
 
 class TestSocketServer:
