@@ -11,15 +11,14 @@
 # re-runs the suites and fails on a >30% regression of the guarded
 # (kernel/adversary) ops versus the committed baseline in
 # benchmarks/baselines/; `make lint` is a dependency-free sanity pass
-# (byte-compiles every tree we ship); `make test-fallback` re-runs the
-# kernel and service suites with REPRO_PURE_PYTHON=1, proving the
-# pure-python fallback stays byte-identical to the numpy columnar
-# kernel; `make clean` removes bytecode and tool caches.
+# (byte-compiles every tree we ship); `make clean` removes bytecode and
+# tool caches.  The columnar kernel has one backend (numpy); tier-1 holds
+# it to the tuple/dict reference table in tests/columnar_oracle.py.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-conformance test-chaos test-tls test-fallback bench bench-check lint clean
+.PHONY: test test-conformance test-chaos test-tls bench bench-check lint clean
 
 # Extra pytest selection flags (CI's tier-1 step passes
 # PYTEST_FLAGS='-k "not conformance"' because the conformance matrix
@@ -37,12 +36,6 @@ test-chaos:
 
 test-tls:
 	$(PYTHON) -m pytest -q tests/test_tls_auth.py
-
-test-fallback:
-	REPRO_PURE_PYTHON=1 $(PYTHON) -m pytest -q tests/test_kernel_registry.py \
-		tests/test_columnar_kernel.py tests/test_privacy_kernel_equivalence.py \
-		tests/test_privacy_relations.py tests/test_service.py \
-		tests/test_approx_gamma.py tests/test_sortfree_kernel.py
 
 bench:
 	$(PYTHON) benchmarks/run_benchmarks.py

@@ -1,9 +1,8 @@
 """Setup shim for environments without PEP 660 editable-install support.
 
 numpy powers the columnar Gamma kernel (:mod:`repro.privacy.columnar`)
-and is the one runtime dependency; the library still imports and runs
-without it -- the pure-python reference kernel takes over -- so
-installs from source on constrained targets may drop the requirement.
+and is the one runtime dependency; the library does not import without
+it.
 """
 from setuptools import setup
 

@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.experiments.reporting import ResultTable
 from repro.experiments.workloads import scaled_structure
-from repro.privacy import columnar
 from repro.privacy.approx import (
     ApproxGammaEstimator,
     KernelRelation,
@@ -65,8 +64,7 @@ class E12Config:
     are not oracle-checked (that is the point -- exact is infeasible
     there, claimed via ``exact_budget_s``).  ``epsilon_rel`` sets the
     requested interval half width as a fraction of the largest swept
-    Gamma level.  The defaults target the numpy backend;
-    :func:`default_config` shrinks them for the pure-python fallback.
+    Gamma level.
     """
 
     scales: tuple[int, ...] = (512, 20_000, 2_000_000)
@@ -92,26 +90,6 @@ class E12Config:
     coverage_budget: int = 64
     transport_rows: int = 4_096
     seed: int = 7
-
-
-def default_config() -> E12Config:
-    """Backend-tuned defaults: the pure-python table is O(rows) in
-    interpreted code, so its "web scale" cell is proportionally smaller
-    (same sweep shape, same infeasibility argument)."""
-    config = E12Config()
-    if columnar.active_backend() == "numpy":
-        return config
-    return replace(
-        config,
-        scales=(256, 2_000, 40_000),
-        budgets=(128, 1_024),
-        oracle_max_rows=2_000,
-        exact_budget_s=1.0,
-        coverage_trials=12,
-        coverage_rows=200,
-        coverage_budget=32,
-        transport_rows=512,
-    )
 
 
 def build_relation(config: E12Config, rows: int) -> KernelRelation:
@@ -144,7 +122,7 @@ def run(config: E12Config | None = None, *, seed: int | None = None) -> ResultTa
     the workload structures stay pinned to ``config.seed`` so different
     sampling seeds answer questions about the same relations.
     """
-    config = config or default_config()
+    config = config or E12Config()
     sampling_seed = config.seed if seed is None else int(seed)
     epsilon = config.epsilon_rel * max(config.gammas)
     rows: ResultTable = []

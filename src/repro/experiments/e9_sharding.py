@@ -10,8 +10,7 @@ measures the service that spreads the work across *processes*
 * **dispatch** -- on multi-worker cells, the PR 6 **legacy** path (one
   IPC round trip per request, row tables value-shipped) versus the
   **coalesced** path (per-shard buffers flush many requests as one
-  batch; on numpy builds row tables publish once through shared
-  memory).  Requests are submitted one visibility pair at a time --
+  batch; row tables publish once through shared memory).  Requests are submitted one visibility pair at a time --
   the pipelined access pattern of the secure-view solver -- so the
   axis isolates exactly the per-request dispatch overhead the
   coalescer amortises;
@@ -158,9 +157,7 @@ def run(
                         )
                         # legacy is the PR 6 path: one batch per request,
                         # row tables value-shipped; coalesced buffers and
-                        # publishes tables through shared memory (numpy
-                        # builds -- on pure-python builds it still
-                        # coalesces, just without the zero-copy tables).
+                        # publishes tables through shared memory.
                         dispatch_kwargs: dict = (
                             {"coalesce": 0, "shm_tables": False}
                             if dispatch == "legacy"

@@ -16,7 +16,7 @@ the exact path).  Each block ``b`` of size ``m_b`` is a *stratum*; the
 sampler draws ``s_b`` rows without replacement via an incremental
 Fisher-Yates stream seeded from ``(seed, structure signature,
 visibility pair, block id)`` -- a pure function, so estimates are
-byte-identical across backends, processes and transports.  From the
+byte-identical across processes and transports.  From the
 sample it observes ``d_b`` distinct visible-output projections of which
 ``f1_b`` are singletons, and bounds the true distinct count ``D_b``:
 
@@ -148,8 +148,8 @@ class SampleSpec:
     ``(structure signature, visibility pair, spec)``.  Per-block RNG
     streams hash the seed together with the signature, the visibility
     pair and the block id, never process or transport state, so the same
-    spec returns the same interval on either columnar backend and across
-    ``workers=0``, multiprocess and pooled transports.
+    spec returns the same interval across ``workers=0``, multiprocess
+    and pooled transports.
     """
 
     budget: int = DEFAULT_BUDGET

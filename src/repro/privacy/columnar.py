@@ -1,39 +1,29 @@
-"""Columnar Gamma-kernel backends: vectorized numpy and pure-python.
+"""Columnar Gamma kernel: vectorized numpy evaluation tables.
 
 The Gamma evaluation primitives -- partition refinement by one input
 column and the grouped distinct-projection count per partition block --
-were pure-python dict/tuple loops through PR 6.  This module factors
-them behind a *backend* so the same :class:`~repro.privacy.kernel_registry.SharedGammaKernel`
-algorithm (incremental prefix refinement, memoized entries, LRU byte
-accounting) can run on either representation:
+run on :class:`NumpyTable`, which encodes a canonical relation table as
+2-D ``int64`` matrices of domain positions (one row per attribute, one
+column per relation row).  Refinement and grouping are *sort-free
+counting passes*: domain positions are small dense ints, so one
+``(block, value)`` key per row fits a dense scatter table and a
+:func:`np.cumsum` rank pass -- O(rows + blocks·domain) per column
+instead of O(rows log rows) ``np.unique``/``argsort`` passes.  The
+sort-based implementations are kept as ``reference_*`` oracles (and as
+the automatic fallback when a degenerate key space would out-size the
+relation).
 
-* the **numpy** backend encodes a canonical relation table as 2-D
-  ``int64`` matrices of domain positions (one row per attribute, one
-  column per relation row) and implements refinement and grouping as
-  *sort-free counting passes*: domain positions are small dense ints,
-  so one ``(block, value)`` key per row fits a dense scatter table and
-  a :func:`np.cumsum` rank pass -- O(rows + blocks·domain) per column
-  instead of the O(rows log rows) ``np.unique``/``argsort`` passes the
-  kernel paid through PR 8.  The sort-based implementations are kept
-  verbatim as ``reference_*`` oracles (and as the automatic fallback
-  when a degenerate key space would out-size the relation);
-* the **pure** backend keeps the original tuple/dict loops, used when
-  numpy is not installed (the library must stay dependency-optional)
-  or when ``REPRO_PURE_PYTHON=1`` forces it.
+Block ids are numbered in first-occurrence order and counts are exact
+integers.  :func:`freeze` converts any cache payload to the portable
+pure-tuple form used by snapshots, eviction spills and the wire, and
+:func:`thaw_entry` converts it back to arrays.  The payload helpers
+also accept tuples: counts too large for ``int64`` stay python ints,
+strata offsets are tuples, and the test suite's tuple/dict reference
+table plugs into a kernel through
+:meth:`~repro.privacy.kernel_registry.SharedGammaKernel.install_table`.
 
-Both backends produce *identical* values: block ids are numbered in
-first-occurrence order (the counting pass ranks keys by their first
-occurrence directly; the retained ``np.unique`` oracle remaps
-sorted-value group ids through an argsort of first indices), and counts
-are exact integers.  Cache payloads differ only in container type
-(``int64`` arrays vs tuples of ints); :func:`freeze` converts any
-payload to the portable pure-tuple form used by snapshots, eviction
-spills and the wire, and :func:`thaw_entry` converts back to the active
-backend's native form, so snapshot files and warm-handoff payloads are
-interchangeable between numpy and pure-python processes.
-
-A numpy table can additionally be *packed* into (and attached
-zero-copy from) a flat ``int64`` buffer -- the representation
+A table can additionally be *packed* into (and attached zero-copy
+from) a flat ``int64`` buffer -- the representation
 :class:`~repro.service.transport.MultiprocessTransport` publishes via
 ``multiprocessing.shared_memory`` so worker processes map the canonical
 row table instead of unpickling a copy per structure ship.
@@ -41,25 +31,15 @@ row table instead of unpickling a copy per structure ship.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoid import cycle)
     from repro.privacy.kernel_registry import RelationStructure
 
-#: Approximate cost of one cached integer (CPython small-int pointer on
-#: the pure backend; exactly one ``int64`` cell on the numpy backend --
-#: the two byte-accounting schemes agree by construction).
+#: Accounted cost of one cached integer: one ``int64`` cell.
 WORD_BYTES = 8
-
-#: Environment variable forcing the pure-python backend even when numpy
-#: is importable (the build-time fallback switch; any of 1/true/yes/on).
-FORCE_PURE_ENV = "REPRO_PURE_PYTHON"
-
-try:  # pragma: no cover - exercised differently per environment
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy fallback build
-    _np = None
 
 
 def _dense_space_ok(space: int, rows: int) -> int:
@@ -76,78 +56,16 @@ def _dense_space_ok(space: int, rows: int) -> int:
     return space <= 4 * rows + 1024
 
 
-def numpy_available() -> bool:
-    """Whether the numpy backend *could* run in this process."""
-    return _np is not None
-
-
-def _env_forces_pure() -> bool:
-    return os.environ.get(FORCE_PURE_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def _default_backend() -> str:
-    if _np is None or _env_forces_pure():
-        return "pure"
-    return "numpy"
-
-
-_ACTIVE_BACKEND = _default_backend()
-
-
-def active_backend() -> str:
-    """The backend new kernels build their tables on: ``numpy`` or ``pure``."""
-    return _ACTIVE_BACKEND
-
-
-def set_backend(name: str) -> str:
-    """Select the backend for *subsequently built* tables; returns the old one.
-
-    ``"numpy"`` requires numpy to be importable.  Existing kernels keep
-    the backend they were built with -- flip only around construction
-    (the comparative benchmark and the fallback tests do exactly that).
-    """
-    global _ACTIVE_BACKEND
-    if name not in ("numpy", "pure"):
-        raise ValueError(f"unknown columnar backend {name!r}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not installed")
-    previous = _ACTIVE_BACKEND
-    _ACTIVE_BACKEND = name
-    return previous
-
-
-class use_backend:
-    """Context manager pinning the active backend (test/benchmark hook)."""
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._previous: str | None = None
-
-    def __enter__(self) -> str:
-        self._previous = set_backend(self._name)
-        return self._name
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._previous is not None
-        set_backend(self._previous)
-
-
 # ---------------------------------------------------------------------- #
-# Payload helpers shared by both backends
+# Payload helpers (arrays, or tuples of python ints)
 # ---------------------------------------------------------------------- #
 def payload_bytes(values: object) -> int:
     """Accounted cache cost of one partition/counts payload.
 
     ``nbytes`` for ``int64`` arrays and ``len * WORD_BYTES`` for tuples
-    -- numerically identical, so budgets, eviction order and the
-    ``bytes_in_use`` gauges behave the same on either backend.
+    -- numerically identical, so a payload costs the same frozen or not.
     """
-    if _np is not None and isinstance(values, _np.ndarray):
+    if isinstance(values, np.ndarray):
         return int(values.nbytes)
     return len(values) * WORD_BYTES  # type: ignore[arg-type]
 
@@ -156,11 +74,10 @@ def freeze(payload: object) -> object:
     """A payload with every array replaced by a tuple of python ints.
 
     The portable form used by snapshots, eviction spills, warm-handoff
-    wire payloads and :class:`~repro.service.protocol.TaskResult` -- it
-    pickles/compares/encodes identically whether the producer ran the
-    numpy or the pure backend.
+    wire payloads and :class:`~repro.service.protocol.TaskResult`: plain
+    data that pickles, compares and encodes without numpy.
     """
-    if _np is not None and isinstance(payload, _np.ndarray):
+    if isinstance(payload, np.ndarray):
         return tuple(payload.tolist())
     if isinstance(payload, tuple):
         return tuple(freeze(item) for item in payload)
@@ -168,28 +85,26 @@ def freeze(payload: object) -> object:
 
 
 def thaw_entry(key: tuple, payload: object) -> object:
-    """A frozen cache payload in the active backend's native form.
+    """A frozen cache payload with its arrays restored.
 
     ``key`` carries the payload shape: ``("partition", ...)`` payloads
     are one flat int sequence; ``("kernel", ...)`` payloads are a
-    ``(partition, counts, gamma)`` triple.  On the pure backend (or for
-    unrecognized keys) the frozen form *is* the native form.
+    ``(partition, counts, gamma)`` triple; ``("strata", ...)`` payloads
+    an ``(order, offsets)`` pair.  Other payloads are plain int tuples
+    already.
     """
-    if _ACTIVE_BACKEND != "numpy" or _np is None:
-        return payload
     if key and key[0] == "partition":
-        return _np.asarray(payload, dtype=_np.int64)
+        return np.asarray(payload, dtype=np.int64)
     if key and key[0] == "kernel":
         partition, counts, gamma = payload  # type: ignore[misc]
         return (
-            _np.asarray(partition, dtype=_np.int64),
-            _np.asarray(counts, dtype=_np.int64) if _counts_fit(counts) else counts,
+            np.asarray(partition, dtype=np.int64),
+            np.asarray(counts, dtype=np.int64) if _counts_fit(counts) else counts,
             gamma,
         )
     if key and key[0] == "strata":
         order, offsets = payload  # type: ignore[misc]
-        return (_np.asarray(order, dtype=_np.int64), tuple(offsets))
-    # ("sample", ...) payloads are already plain int tuples on both backends.
+        return (np.asarray(order, dtype=np.int64), tuple(offsets))
     return payload
 
 
@@ -200,7 +115,7 @@ def _counts_fit(counts: Sequence[int]) -> bool:
 
 def block_count(partition: object) -> int:
     """Number of blocks of a first-occurrence-numbered partition."""
-    if _np is not None and isinstance(partition, _np.ndarray):
+    if isinstance(partition, np.ndarray):
         return int(partition.max()) + 1 if partition.size else 0
     return max(partition) + 1 if partition else 0  # type: ignore[arg-type]
 
@@ -208,12 +123,11 @@ def block_count(partition: object) -> int:
 def scale_counts(distinct: object, hidden_combinations: int) -> object:
     """Per-block distinct counts scaled by the hidden-output completions.
 
-    Counts are exact integers on both backends.  The numpy path guards
-    against ``int64`` overflow: when the scaled counts may not fit (a
-    relation hiding very many large output domains), it falls back to a
-    tuple of python ints -- arbitrary precision, same values.
+    Counts are exact integers.  When the scaled counts may not fit
+    ``int64`` (a relation hiding very many large output domains), the
+    result is a tuple of python ints -- arbitrary precision, same values.
     """
-    if _np is not None and isinstance(distinct, _np.ndarray):
+    if isinstance(distinct, np.ndarray):
         if hidden_combinations == 1:
             return distinct
         peak = int(distinct.max()) if distinct.size else 0
@@ -225,233 +139,14 @@ def scale_counts(distinct: object, hidden_combinations: int) -> object:
 
 def minimum(counts: object) -> int:
     """The Gamma of a counts payload (0 for an empty relation)."""
-    if _np is not None and isinstance(counts, _np.ndarray):
+    if isinstance(counts, np.ndarray):
         return int(counts.min()) if counts.size else 0
     return min(counts) if counts else 0  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------- #
-# Backend tables
+# Evaluation table
 # ---------------------------------------------------------------------- #
-class PureTable:
-    """The pre-PR-7 tuple/dict evaluation primitives (no dependencies)."""
-
-    backend = "pure"
-
-    __slots__ = (
-        "input_columns",
-        "output_columns",
-        "input_domain_sizes",
-        "output_domain_sizes",
-        "row_count",
-    )
-
-    def __init__(self, structure: "RelationStructure") -> None:
-        self.input_columns = structure.input_columns
-        self.output_columns = structure.output_columns
-        self.input_domain_sizes = structure.input_domain_sizes
-        self.output_domain_sizes = structure.output_domain_sizes
-        self.row_count = structure.row_count
-
-    def initial_partition(self) -> tuple[int, ...]:
-        return (0,) * self.row_count
-
-    def refine(self, base: Sequence[int], input_index: int) -> tuple[int, ...]:
-        """Refine ``base`` by one input column, first-occurrence block ids."""
-        column = self.input_columns[input_index]
-        block_ids: dict[tuple[int, int], int] = {}
-        refined = []
-        for block, value in zip(base, column):
-            pair = (block, value)
-            block_id = block_ids.get(pair)
-            if block_id is None:
-                block_id = len(block_ids)
-                block_ids[pair] = block_id
-            refined.append(block_id)
-        return tuple(refined)
-
-    # The dict loop *is* the first-occurrence oracle; the numpy backend
-    # exposes the same ``reference_`` names for its sort-based paths, so
-    # equivalence tests can drive either backend uniformly.
-    reference_refine = refine
-
-    def distinct_projections(
-        self,
-        partition: Sequence[int],
-        blocks: int,
-        visible_outputs: tuple[int, ...],
-    ) -> list[int]:
-        """Distinct visible-output projections per partition block."""
-        columns = [self.output_columns[index] for index in visible_outputs]
-        distinct = [0] * blocks
-        seen: set[tuple] = set()
-        for row, block in enumerate(partition):
-            pair = (block, tuple(column[row] for column in columns))
-            if pair not in seen:
-                seen.add(pair)
-                distinct[block] += 1
-        return distinct
-
-    reference_distinct_projections = distinct_projections
-
-    def fused_entry(
-        self,
-        partition: Sequence[int],
-        blocks: int,
-        visible_outputs: tuple[int, ...],
-    ) -> list[int]:
-        """Distinct visible-output projections per block, one fused pass.
-
-        The pure backend's :meth:`distinct_projections` already walks the
-        relation exactly once with the block id fused into the projection
-        key, so the fused entry kernel *is* that loop; the method exists
-        so :meth:`SharedGammaKernel.entry` calls one name on both
-        backends (the numpy side genuinely fuses three ``np.unique``
-        passes into a single counting pass).
-        """
-        return self.distinct_projections(partition, blocks, visible_outputs)
-
-    def strata(
-        self, partition: Sequence[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Row ids grouped by block: ``(order, offsets)``.
-
-        ``order`` lists every row id, rows of block 0 first, rows
-        ascending within a block; ``offsets[b]:offsets[b+1]`` delimits
-        block ``b``.  Block ids are contiguous first-occurrence numbers,
-        so ascending id order equals first-occurrence order -- the numpy
-        backend's stable argsort yields the identical sequence.
-        """
-        groups: list[list[int]] = []
-        for row, block in enumerate(partition):
-            while block >= len(groups):
-                groups.append([])
-            groups[block].append(row)
-        order = tuple(row for group in groups for row in group)
-        offsets = [0]
-        for group in groups:
-            offsets.append(offsets[-1] + len(group))
-        return order, tuple(offsets)
-
-    reference_strata = strata
-
-    def initial_strata(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Strata of the empty-visibility partition (one block, row order)."""
-        if self.row_count == 0:
-            return (), (0,)
-        return tuple(range(self.row_count)), (0, self.row_count)
-
-    def refine_strata(
-        self,
-        base_order: Sequence[int],
-        refined: Sequence[int],
-        input_index: int,
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Strata of ``refined`` derived from the base partition's order.
-
-        ``base_order`` is the :meth:`strata` order of the partition
-        ``refined`` was refined *from* by column ``input_index``; every
-        refined block lies inside one base block, so replaying rows in
-        base order keeps them ascending within each refined block --
-        identical values to ``strata(refined)`` without re-deriving the
-        grouping from scratch.
-        """
-        groups: list[list[int]] = []
-        for row in base_order:
-            block = refined[row]
-            while block >= len(groups):
-                groups.append([])
-            groups[block].append(row)
-        order = tuple(row for group in groups for row in group)
-        offsets = [0]
-        for group in groups:
-            offsets.append(offsets[-1] + len(group))
-        return order, tuple(offsets)
-
-    def block_sizes(self, partition: Sequence[int]) -> list[int]:
-        """Rows per block of a first-occurrence-numbered partition.
-
-        One linear pass -- the sampled-strata estimator path uses this to
-        rank and budget blocks without materializing full strata.
-        """
-        sizes = [0] * (max(partition) + 1 if partition else 0)
-        for block in partition:
-            sizes[block] += 1
-        return sizes
-
-    def block_rows(
-        self, partition: Sequence[int], blocks: Sequence[int]
-    ) -> dict[int, tuple[int, ...]]:
-        """Row ids of just the listed blocks, ascending within each.
-
-        The *sampled strata construction*: one linear pass over the
-        partition gathers only the blocks a sampling wave touches,
-        instead of building (and caching) the full ``(order, offsets)``
-        strata for every block.
-        """
-        wanted = set(blocks)
-        gathered: dict[int, list[int]] = {block: [] for block in blocks}
-        for row, block in enumerate(partition):
-            if block in wanted:
-                gathered[block].append(row)
-        return {block: tuple(rows) for block, rows in gathered.items()}
-
-    def largest_blocks(self, sizes: Sequence[int], limit: int) -> list[int]:
-        """The ``limit`` largest block ids, ties broken by ascending id."""
-        ranked = sorted(range(len(sizes)), key=lambda b: (-sizes[b], b))
-        return ranked[:limit]
-
-    def concat_rows(self, chunks: Sequence[Sequence[int]]) -> list[int]:
-        """Row-id chunks flattened into one sampling batch."""
-        return [row for chunk in chunks for row in chunk]
-
-    def sample_distincts(
-        self,
-        partition: Sequence[int],
-        rows: Sequence[int],
-        visible_outputs: tuple[int, ...],
-    ) -> dict[int, tuple[int, int]]:
-        """Per touched block: ``(distinct, singletons)`` over sampled rows.
-
-        ``distinct`` is the number of distinct visible-output projections
-        among the block's sampled rows; ``singletons`` the number of
-        those seen exactly once (the Good-Turing statistic the missing
-        -mass bound feeds on).
-        """
-        columns = [self.output_columns[index] for index in visible_outputs]
-        tallies: dict[tuple[int, tuple[int, ...]], int] = {}
-        for row in rows:
-            pair = (partition[row], tuple(column[row] for column in columns))
-            tallies[pair] = tallies.get(pair, 0) + 1
-        stats: dict[int, tuple[int, int]] = {}
-        for (block, _projection), count in tallies.items():
-            distinct, singletons = stats.get(block, (0, 0))
-            stats[block] = (distinct + 1, singletons + (1 if count == 1 else 0))
-        return stats
-
-    def exhaust_distincts(
-        self,
-        partition: Sequence[int],
-        order: Sequence[int],
-        offsets: Sequence[int],
-        blocks: Sequence[int],
-        visible_outputs: tuple[int, ...],
-    ) -> dict[int, tuple[int, int]]:
-        """Exact per-block ``(distinct, singletons)`` of whole strata.
-
-        ``order``/``offsets`` are a :meth:`strata` result; every listed
-        block is counted over its *full* row slice.  The estimator uses
-        this to exhaust straddling blocks in one pass instead of
-        streaming them row by row through the sampler.
-        """
-        rows = [
-            row
-            for block in blocks
-            for row in order[offsets[block] : offsets[block + 1]]
-        ]
-        return self.sample_distincts(partition, rows, visible_outputs)
-
-
 class NumpyTable:
     """Vectorized evaluation over 2-D ``int64`` domain-position matrices.
 
@@ -461,8 +156,6 @@ class NumpyTable:
     buffer (a shared-memory segment), in which case the caller keeps the
     buffer alive for the table's lifetime.
     """
-
-    backend = "numpy"
 
     __slots__ = (
         "input_matrix",
@@ -489,10 +182,10 @@ class NumpyTable:
     @classmethod
     def from_structure(cls, structure: "RelationStructure") -> "NumpyTable":
         rows = structure.row_count
-        input_matrix = _np.asarray(structure.input_columns, dtype=_np.int64).reshape(
+        input_matrix = np.asarray(structure.input_columns, dtype=np.int64).reshape(
             len(structure.input_columns), rows
         )
-        output_matrix = _np.asarray(structure.output_columns, dtype=_np.int64).reshape(
+        output_matrix = np.asarray(structure.output_columns, dtype=np.int64).reshape(
             len(structure.output_columns), rows
         )
         return cls(
@@ -510,7 +203,7 @@ class NumpyTable:
 
     def pack_into(self, buffer) -> None:
         """Copy both matrices into ``buffer`` (input block, then output)."""
-        flat = _np.frombuffer(buffer, dtype=_np.int64, count=self.packed_nbytes // 8)
+        flat = np.frombuffer(buffer, dtype=np.int64, count=self.packed_nbytes // 8)
         split = self.input_matrix.size
         flat[:split] = self.input_matrix.reshape(-1)
         flat[split : split + self.output_matrix.size] = self.output_matrix.reshape(-1)
@@ -531,8 +224,8 @@ class NumpyTable:
         """
         input_cells = input_shape[0] * input_shape[1]
         output_cells = output_shape[0] * output_shape[1]
-        flat = _np.frombuffer(
-            buffer, dtype=_np.int64, count=input_cells + output_cells
+        flat = np.frombuffer(
+            buffer, dtype=np.int64, count=input_cells + output_cells
         )
         input_matrix = flat[:input_cells].reshape(input_shape)
         output_matrix = flat[input_cells:].reshape(output_shape)
@@ -556,7 +249,7 @@ class NumpyTable:
 
     # -- evaluation primitives -------------------------------------------
     def initial_partition(self):
-        return _np.zeros(self.row_count, dtype=_np.int64)
+        return np.zeros(self.row_count, dtype=np.int64)
 
     def refine(self, base, input_index: int):
         """Refine ``base`` by one input column, first-occurrence block ids.
@@ -565,15 +258,11 @@ class NumpyTable:
         cell of a dense ``blocks x domain`` table, so a reversed scatter
         pins every key's *first* occurrence position (the last write in
         reversed order is the earliest position), and a cumsum over marks
-        at those positions ranks the keys in first-occurrence order --
-        exactly the ids the pure backend's dict assignment produces, in
+        at those positions ranks the keys in first-occurrence order (the
+        ids a dict numbering each new key would assign) in
         O(rows + blocks·domain) with no comparison sort.  Degenerate key
         spaces fall back to the (value-identical) sort-based oracle.
         """
-        # A base partition may be a preloaded pure tuple (cross-backend
-        # warm start); coerce so tuple * int never means repetition.
-        if not isinstance(base, _np.ndarray):
-            base = _np.asarray(base, dtype=_np.int64)
         rows = base.size
         if rows == 0:
             return base
@@ -582,12 +271,12 @@ class NumpyTable:
         if not _dense_space_ok(space, rows):
             return self.reference_refine(base, input_index)
         combined = base * domain + self.input_matrix[input_index]
-        first = _np.empty(space, dtype=_np.int64)
-        first[combined[::-1]] = _np.arange(rows - 1, -1, -1, dtype=_np.int64)
+        first = np.empty(space, dtype=np.int64)
+        first[combined[::-1]] = np.arange(rows - 1, -1, -1, dtype=np.int64)
         first_of_row = first[combined]
-        marks = _np.zeros(rows, dtype=_np.int64)
+        marks = np.zeros(rows, dtype=np.int64)
         marks[first_of_row] = 1
-        ranks = _np.cumsum(marks)
+        ranks = np.cumsum(marks)
         ranks -= 1
         return ranks[first_of_row]
 
@@ -599,16 +288,14 @@ class NumpyTable:
         first appearance, so the oracle and the counting pass agree
         value-for-value.
         """
-        if not isinstance(base, _np.ndarray):
-            base = _np.asarray(base, dtype=_np.int64)
         column = self.input_matrix[input_index]
         combined = base * self.input_domain_sizes[input_index] + column
-        _, first, inverse = _np.unique(
+        _, first, inverse = np.unique(
             combined, return_index=True, return_inverse=True
         )
-        order = _np.argsort(first, kind="stable")
-        rank = _np.empty(order.size, dtype=_np.int64)
-        rank[order] = _np.arange(order.size, dtype=_np.int64)
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size, dtype=np.int64)
         return rank[inverse]
 
     def _fold_output_codes(self, code, ncodes: int, visible_outputs, index):
@@ -628,14 +315,14 @@ class NumpyTable:
             combined = code * self.output_domain_sizes[output] + values
             space = ncodes * self.output_domain_sizes[output]
             if _dense_space_ok(space, rows):
-                occupied = _np.zeros(space, dtype=_np.bool_)
+                occupied = np.zeros(space, dtype=np.bool_)
                 occupied[combined] = True
-                dense = _np.cumsum(occupied)
+                dense = np.cumsum(occupied)
                 ncodes = int(dense[-1]) if space else 0
                 dense -= 1
                 code = dense[combined]
             else:
-                uniques, code = _np.unique(combined, return_inverse=True)
+                uniques, code = np.unique(combined, return_inverse=True)
                 ncodes = int(uniques.size)
         return code, ncodes
 
@@ -650,19 +337,17 @@ class NumpyTable:
         to its owning block.  Replaces three ``np.unique`` passes per
         entry with counting passes.
         """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
         if partition.size == 0:
-            return _np.zeros(blocks, dtype=_np.int64)
+            return np.zeros(blocks, dtype=np.int64)
         code, ncodes = self._fold_output_codes(
             partition, blocks, visible_outputs, None
         )
-        representative = _np.empty(ncodes, dtype=_np.int64)
-        representative[code] = _np.arange(partition.size, dtype=_np.int64)
+        representative = np.empty(ncodes, dtype=np.int64)
+        representative[code] = np.arange(partition.size, dtype=np.int64)
         owners = partition[representative]
-        return _np.bincount(owners, minlength=blocks).astype(_np.int64, copy=False)
+        return np.bincount(owners, minlength=blocks).astype(np.int64, copy=False)
 
-    def distinct_projections(
+    def reference_distinct_projections(
         self, partition, blocks: int, visible_outputs: tuple[int, ...]
     ):
         """Distinct projections per block -- the sort-based oracle.
@@ -673,43 +358,34 @@ class NumpyTable:
         ``(block, projection)`` code in each block.  Retained as the
         ``reference_*`` pass :meth:`fused_entry` is verified against.
         """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
         code = partition
         for index in visible_outputs:
             combined = code * self.output_domain_sizes[index] + self.output_matrix[index]
-            _, code = _np.unique(combined, return_inverse=True)
-        _, first = _np.unique(code, return_index=True)
+            _, code = np.unique(combined, return_inverse=True)
+        _, first = np.unique(code, return_index=True)
         owners = partition[first]
-        return _np.bincount(owners, minlength=blocks).astype(_np.int64, copy=False)
+        return np.bincount(owners, minlength=blocks).astype(np.int64, copy=False)
 
-    reference_distinct_projections = distinct_projections
-
-    def strata(self, partition):
+    def reference_strata(self, partition):
         """Row ids grouped by block: ``(order, offsets)``.
 
-        Same values as :meth:`PureTable.strata` -- the stable argsort
-        keeps rows ascending within each block, and first-occurrence
-        block ids make ascending-id order equal first-occurrence order.
-        This is the sort-based construction, retained as the oracle the
-        incremental :meth:`refine_strata` chain is verified against (and
-        the one-shot path for a partition with no cached prefix order).
+        The stable argsort keeps rows ascending within each block, and
+        first-occurrence block ids make ascending-id order equal
+        first-occurrence order.  The sort-based construction, retained as
+        the oracle the incremental :meth:`refine_strata` chain is
+        verified against.
         """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
-        order = _np.argsort(partition, kind="stable").astype(_np.int64, copy=False)
+        order = np.argsort(partition, kind="stable").astype(np.int64, copy=False)
         blocks = int(partition.max()) + 1 if partition.size else 0
-        counts = _np.bincount(partition, minlength=blocks)
-        offsets = (0, *_np.cumsum(counts).tolist())
+        counts = np.bincount(partition, minlength=blocks)
+        offsets = (0, *np.cumsum(counts).tolist())
         return order, offsets
-
-    reference_strata = strata
 
     def initial_strata(self):
         """Strata of the empty-visibility partition (one block, row order)."""
         if self.row_count == 0:
-            return _np.empty(0, dtype=_np.int64), (0,)
-        return _np.arange(self.row_count, dtype=_np.int64), (0, self.row_count)
+            return np.empty(0, dtype=np.int64), (0,)
+        return np.arange(self.row_count, dtype=np.int64), (0, self.row_count)
 
     def refine_strata(self, base_order, refined, input_index: int):
         """Strata of ``refined`` derived from the base partition's order.
@@ -726,50 +402,44 @@ class NumpyTable:
         plain arithmetic then land every row at its final offset -- one
         O(rows) pass over a narrow key replaces the global
         O(rows log rows) argsort of the wide block-id column; values are
-        identical to ``strata(refined)``.
+        identical to ``reference_strata(refined)``.
         """
-        if not isinstance(refined, _np.ndarray):
-            refined = _np.asarray(refined, dtype=_np.int64)
-        if not isinstance(base_order, _np.ndarray):
-            base_order = _np.asarray(base_order, dtype=_np.int64)
         rows = refined.size
         blocks = int(refined.max()) + 1 if rows else 0
-        counts = _np.bincount(refined, minlength=blocks)
-        cumulative = _np.cumsum(counts)
+        counts = np.bincount(refined, minlength=blocks)
+        cumulative = np.cumsum(counts)
         offsets = (0, *cumulative.tolist())
         if rows == 0:
-            return _np.empty(0, dtype=_np.int64), offsets
+            return np.empty(0, dtype=np.int64), offsets
         starts = cumulative - counts
         values_in_order = self.input_matrix[input_index][base_order]
         domain = self.input_domain_sizes[input_index]
         if domain <= 1 << 8:
-            values_in_order = values_in_order.astype(_np.uint8)
+            values_in_order = values_in_order.astype(np.uint8)
         elif domain <= 1 << 16:
-            values_in_order = values_in_order.astype(_np.uint16)
-        by_value = _np.argsort(values_in_order, kind="stable")
+            values_in_order = values_in_order.astype(np.uint16)
+        by_value = np.argsort(values_in_order, kind="stable")
         positions = base_order[by_value]
         keys = refined[positions]
-        boundary = _np.empty(rows, dtype=bool)
+        boundary = np.empty(rows, dtype=bool)
         boundary[0] = True
-        _np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-        run_first = _np.flatnonzero(boundary)
-        run_lengths = _np.diff(_np.append(run_first, rows))
+        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
+        run_first = np.flatnonzero(boundary)
+        run_lengths = np.diff(np.append(run_first, rows))
         # Each run IS one refined block: shift its rows so the run's
         # first element lands on the block's start slot.
         shift = run_first - starts[keys[run_first]]
-        destinations = _np.arange(rows, dtype=_np.int64) - _np.repeat(
+        destinations = np.arange(rows, dtype=np.int64) - np.repeat(
             shift, run_lengths
         )
-        order = _np.empty(rows, dtype=_np.int64)
+        order = np.empty(rows, dtype=np.int64)
         order[destinations] = positions
         return order, offsets
 
     def block_sizes(self, partition) -> list[int]:
         """Rows per block of a first-occurrence-numbered partition."""
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
         blocks = int(partition.max()) + 1 if partition.size else 0
-        return _np.bincount(partition, minlength=blocks).tolist()
+        return np.bincount(partition, minlength=blocks).tolist()
 
     def block_rows(self, partition, blocks) -> dict:
         """Row ids of just the listed blocks, ascending within each.
@@ -778,14 +448,12 @@ class NumpyTable:
         pulls only the blocks a sampling wave touches out of the
         partition, instead of building full strata for every block.
         """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
         if not blocks:
             return {}
         total = int(partition.max()) + 1 if partition.size else 0
-        wanted = _np.zeros(total, dtype=_np.bool_)
+        wanted = np.zeros(total, dtype=np.bool_)
         wanted[list(blocks)] = True
-        selected = _np.flatnonzero(wanted[partition])
+        selected = np.flatnonzero(wanted[partition])
         owners = partition[selected]
         gathered: dict[int, object] = {}
         for block in blocks:
@@ -795,20 +463,19 @@ class NumpyTable:
     def largest_blocks(self, sizes, limit: int) -> list[int]:
         """The ``limit`` largest block ids, ties broken by ascending id.
 
-        ``np.lexsort`` with ``(-size, id)`` keys matches the pure
-        backend's ``sorted`` ranking exactly, so both backends budget
-        the same active set.
+        ``np.lexsort`` with ``(-size, id)`` keys ranks exactly like
+        ``sorted(range(n), key=lambda b: (-sizes[b], b))``.
         """
-        sizes = _np.asarray(sizes, dtype=_np.int64)
-        ranked = _np.lexsort((_np.arange(sizes.size), -sizes))
+        sizes = np.asarray(sizes, dtype=np.int64)
+        ranked = np.lexsort((np.arange(sizes.size), -sizes))
         return ranked[:limit].tolist()
 
     def concat_rows(self, chunks):
         """Row-id chunks flattened into one sampling batch."""
-        chunks = [_np.asarray(chunk, dtype=_np.int64) for chunk in chunks]
+        chunks = [np.asarray(chunk, dtype=np.int64) for chunk in chunks]
         if not chunks:
-            return _np.empty(0, dtype=_np.int64)
-        return _np.concatenate(chunks)
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(chunks)
 
     def sample_distincts(self, partition, rows, visible_outputs: tuple[int, ...]):
         """Per touched block: ``(distinct, singletons)`` over sampled rows.
@@ -820,21 +487,19 @@ class NumpyTable:
         ``(block, projection)`` code -- one counting pass per wave
         instead of two ``np.unique`` sorts.
         """
-        if not isinstance(partition, _np.ndarray):
-            partition = _np.asarray(partition, dtype=_np.int64)
-        index = _np.asarray(rows, dtype=_np.int64)
+        index = np.asarray(rows, dtype=np.int64)
         if index.size == 0:
             return {}
         blocks_of = partition[index]
         code, ncodes = self._fold_output_codes(
             blocks_of, int(blocks_of.max()) + 1, visible_outputs, index
         )
-        tallies = _np.bincount(code, minlength=ncodes)
-        representative = _np.empty(ncodes, dtype=_np.int64)
-        representative[code] = _np.arange(index.size, dtype=_np.int64)
+        tallies = np.bincount(code, minlength=ncodes)
+        representative = np.empty(ncodes, dtype=np.int64)
+        representative[code] = np.arange(index.size, dtype=np.int64)
         # With no output columns the seed code is the raw block id, so
         # codes absent from the sample leave gaps; tally > 0 masks them.
-        present = _np.flatnonzero(tallies)
+        present = np.flatnonzero(tallies)
         owners = blocks_of[representative[present]].tolist()
         singles = (tallies[present] == 1).tolist()
         stats: dict[int, tuple[int, int]] = {}
@@ -846,27 +511,18 @@ class NumpyTable:
     def exhaust_distincts(self, partition, order, offsets, blocks, visible_outputs):
         """Exact per-block ``(distinct, singletons)`` of whole strata.
 
-        Same values as :meth:`PureTable.exhaust_distincts`, but the
-        listed blocks' slices are concatenated and folded in a single
+        The listed blocks' slices are concatenated and folded in a single
         vectorized pass -- exhausting straddling blocks costs one
         gather, not a python loop per row.
         """
         if not blocks:
             return {}
-        if not isinstance(order, _np.ndarray):
-            order = _np.asarray(order, dtype=_np.int64)
-        index = _np.concatenate(
+        index = np.concatenate(
             [order[offsets[block] : offsets[block + 1]] for block in blocks]
         )
         return self.sample_distincts(partition, index, visible_outputs)
 
 
-#: A backend table of either kind.
-Table = object
-
-
-def build_table(structure: "RelationStructure"):
-    """The active backend's table for one canonical structure."""
-    if _ACTIVE_BACKEND == "numpy":
-        return NumpyTable.from_structure(structure)
-    return PureTable(structure)
+def build_table(structure: "RelationStructure") -> NumpyTable:
+    """The evaluation table for one canonical structure."""
+    return NumpyTable.from_structure(structure)

@@ -52,7 +52,7 @@ EvictionSink = Callable[["RelationStructure", tuple, object, int], None]
 
 #: ``kernel_stats`` keys holding accumulated wall-clock milliseconds
 #: (floats) rather than deterministic work counters (ints).  Equality
-#: tests across backends/processes must strip these; the stats mergers
+#: tests across tables/processes must strip these; the stats mergers
 #: must *not* truncate them to ints.
 TIMING_STAT_KEYS = ("partition_build_ms", "strata_build_ms")
 
@@ -162,9 +162,9 @@ class SharedGammaKernel:
             raise PrivacyError("kernel byte budget must be >= 0")
         self.structure = structure
         self.budget_bytes = budget_bytes
-        #: Columnar evaluation table (numpy or pure backend), built lazily
-        #: on the first evaluation so preload-only kernels never pay for
-        #: it, or installed externally (zero-copy shared-memory attach).
+        #: Columnar evaluation table, built lazily on the first evaluation
+        #: so preload-only kernels never pay for it, or installed
+        #: externally (zero-copy shared-memory attach).
         self._table: object | None = None
         #: Registry charged for this kernel's entries (registry-wide LRU);
         #: ``None`` for private kernels and per-kernel-budget registries.
@@ -188,14 +188,13 @@ class SharedGammaKernel:
             "evictions": 0,
             "preloaded": 0,
         }
-        # Wall-clock attribution of group construction (satellite of the
-        # sort-free kernel work): floats, kept apart from the
-        # deterministic counters so cross-backend equality checks can
+        # Wall-clock attribution of group construction: floats, kept
+        # apart from the deterministic counters so equality checks can
         # compare counters exactly and strip TIMING_STAT_KEYS.
         self._timers: dict[str, float] = {key: 0.0 for key in TIMING_STAT_KEYS}
 
     # ------------------------------------------------------------------ #
-    # Columnar backend table
+    # Columnar evaluation table
     # ------------------------------------------------------------------ #
     @property
     def table(self):
@@ -210,16 +209,13 @@ class SharedGammaKernel:
         The multiprocess workers install zero-copy
         :class:`~repro.privacy.columnar.NumpyTable` views over a
         shared-memory segment here instead of letting the kernel build
-        its own copy of the canonical row table.  The caller guarantees
-        the table matches :attr:`structure` and keeps any underlying
-        buffer alive for the kernel's lifetime.
+        its own copy of the canonical row table, and the test suite
+        installs its tuple/dict reference table to compare entries and
+        eviction sequences.  The caller guarantees the table matches
+        :attr:`structure` and keeps any underlying buffer alive for the
+        kernel's lifetime.
         """
         self._table = table
-
-    @property
-    def backend(self) -> str:
-        """Which columnar backend this kernel evaluates on."""
-        return self.table.backend
 
     # ------------------------------------------------------------------ #
     # Attachment accounting
@@ -299,9 +295,8 @@ class SharedGammaKernel:
     def export_entries(self) -> tuple[tuple[tuple, object, int], ...]:
         """Every cached entry as ``(key, payload, cost)``, oldest first.
 
-        The payloads are *frozen* to pure tuples of ints -- whichever
-        backend produced them -- so a snapshot of the export round-trips
-        through pickle byte-identically and loads into either backend.
+        The payloads are *frozen* to pure tuples of ints, so a snapshot
+        of the export round-trips through pickle byte-identically.
         """
         return tuple(
             (key, columnar.freeze(payload), cost)
@@ -333,10 +328,8 @@ class SharedGammaKernel:
     def partition(self, visible_inputs: tuple[int, ...]):
         """Block id per row of the partition by visible-input projection.
 
-        The container type follows the backend (``int64`` array or tuple
-        of ints); the *values* -- first-occurrence block ids -- are
-        identical either way, as is the accounted cost (one word per
-        row on both backends).
+        An ``int64`` array of first-occurrence block ids; the accounted
+        cost is one word per row.
         """
         key = ("partition", visible_inputs)
         cached = self._cache_get(key)
@@ -361,9 +354,9 @@ class SharedGammaKernel:
     def entry(self, visible_inputs: tuple[int, ...], visible_outputs: tuple[int, ...]):
         """(partition, per-block candidate counts, Gamma) for a visibility pair.
 
-        ``partition`` and ``counts`` follow the backend's container type;
-        ``Gamma`` is always a python int.  Values, counters and accounted
-        costs are backend-independent.
+        ``partition`` and ``counts`` are ``int64`` arrays (``counts`` is a
+        tuple of python ints when it overflows ``int64``); ``Gamma`` is
+        always a python int.
         """
         key = ("kernel", visible_inputs, visible_outputs)
         cached = self._cache_get(key)
@@ -391,16 +384,16 @@ class SharedGammaKernel:
 
         The stratified sampler's companion to :meth:`partition`: rows of
         block ``b`` are ``order[offsets[b]:offsets[b + 1]]``, ascending
-        within each block on both backends.  Built *incrementally*,
-        mirroring the partition-refinement chain: ``strata(prefix+col)``
+        within each block.  Built *incrementally*, mirroring the
+        partition-refinement chain: ``strata(prefix+col)``
         replays the cached ``strata(prefix)`` order through one bucket
         pass per appended column instead of a fresh global argsort, and
         every prefix's strata lands under its own ``("strata", VI)`` LRU
         key -- the per-structure canonical-order cache the sampler and
         ``exhaust_distincts`` share.  The accounted cost charges the true
-        payload (``order`` plus ``offsets`` words), identical on both
-        backends, so sampled evaluations share cache accounting -- and
-        eviction pressure -- with exact ones.
+        payload (``order`` plus ``offsets`` words), so sampled
+        evaluations share cache accounting -- and eviction pressure --
+        with exact ones.
         """
         key = ("strata", visible_inputs)
         cached = self._cache_get(key)
@@ -438,7 +431,7 @@ class SharedGammaKernel:
         confidence, same budget class -- reuses the gathered rows as
         plain slices.  ``active`` is ascending; rows of ``active[i]``
         are ``order[offsets[i]:offsets[i + 1]]``, ascending within each
-        block on both backends.
+        block.
         """
         key = ("sampled_strata", visible_inputs, max_active)
         cached = self._cache_get(key)
@@ -453,8 +446,6 @@ class SharedGammaKernel:
         chunk_map = self.table.block_rows(partition, active)
         chunks = [chunk_map[block] for block in active]
         order = self.table.concat_rows(chunks)
-        if isinstance(order, list):
-            order = tuple(order)
         offsets = [0]
         for chunk in chunks:
             offsets.append(offsets[-1] + len(chunk))
@@ -475,9 +466,9 @@ class SharedGammaKernel:
         """Memoized sampling-estimator result for ``("sample",) + subkey``.
 
         The approx subsystem stores its finished interval payloads (plain
-        int tuples, identical on both backends) here so repeated
-        estimates -- e.g. the same node re-expanded across frontier
-        levels, or a re-submitted service task -- are cache hits with the
+        int tuples) here so repeated estimates -- e.g. the same node
+        re-expanded across frontier levels, or a re-submitted service
+        task -- are cache hits with the
         same LRU/byte accounting as exact entries.  ``compute`` runs on a
         miss and returns ``(payload, cost_bytes)``.
         """

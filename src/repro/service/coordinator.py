@@ -36,8 +36,8 @@ With ``coalesce=N`` the asynchronous path buffers submitted tasks per
 shard and flushes them as *coalesced* batches (one IPC round trip
 carrying the tasks of up to N requests); completion is tracked per
 task, so requests sharing a batch still complete and fail
-independently.  On numpy builds the multiprocess transport additionally
-publishes each canonical row table once through
+independently.  The multiprocess transport additionally publishes
+each canonical row table once through
 :mod:`multiprocessing.shared_memory` and ships a zero-copy
 :class:`~repro.service.protocol.ShmTableRef` instead of re-serialising
 rows per shard (``shm_tables=False`` restores value shipping).
@@ -162,7 +162,7 @@ class ShardCoordinator:
         rebalance: bool = True,
         ring_slack: int = 1,
         coalesce: int = 0,
-        shm_tables: bool | None = None,
+        shm_tables: bool = True,
         tls_ca: str | None = None,
         ssl_context=None,
         auth_token: str | None = None,

@@ -25,9 +25,8 @@ served as cache hits and counted in the kernels' ``preloaded`` counter.
 Snapshots are pickles of tuples of ints (plus the structure dataclass);
 they are a local cache directory, not an interchange format -- load only
 directories you wrote.  Payloads are *frozen* to pure tuples on write
-regardless of which columnar backend produced them (numpy arrays never
-reach the pickle), so a snapshot written by a numpy worker preloads
-byte-identically into a pure-python one and vice versa.
+(numpy arrays never reach the pickle) and thawed back to arrays on
+preload.
 """
 
 from __future__ import annotations
@@ -175,8 +174,8 @@ class KernelSnapshotStore:
     ) -> Path:
         """Atomically write one snapshot (temp file + rename), torn-write safe.
 
-        Payloads are frozen to pure tuples of ints so the file is
-        backend-portable (and loadable where numpy is not installed).
+        Payloads are frozen to pure tuples of ints, so the file holds
+        plain data only.
         """
         document = {
             "version": SNAPSHOT_VERSION,

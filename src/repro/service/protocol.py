@@ -52,14 +52,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.errors import ServiceError
 from repro.privacy.approx import SampleSpec
 from repro.privacy.kernel_registry import RelationStructure
-
-try:  # pragma: no cover - exercised differently per environment
-    import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy fallback build
-    _np = None
 
 #: Control message asking a worker to snapshot its kernels and exit.
 SHUTDOWN = "__shutdown__"
@@ -292,32 +289,32 @@ def columns_to_wire(columns: tuple[tuple[int, ...], ...]) -> list:
 
     ``[I64_TAG, [n_columns, rows], raw_bytes]`` -- a dtype/shape/raw-bytes
     triple, one bytes object for the whole matrix instead of one object
-    per cell.  Packing uses numpy when importable and :mod:`struct`
-    otherwise, producing identical bytes.
+    per cell.
     """
     n_columns = len(columns)
     rows = len(columns[0]) if columns else 0
-    if _np is not None:
-        raw = _np.asarray(columns, dtype="<i8").reshape(n_columns, rows).tobytes()
-    else:
-        flat = [value for column in columns for value in column]
-        raw = struct.pack(f"<{len(flat)}q", *flat)
+    raw = np.asarray(columns, dtype="<i8").reshape(n_columns, rows).tobytes()
     return [I64_TAG, [n_columns, rows], raw]
 
 
 @_fails_closed
-def columns_from_wire(wire: list) -> tuple[tuple[int, ...], ...]:
-    """Invert :func:`columns_to_wire`."""
+def columns_from_wire(wire: list) -> np.ndarray:
+    """Invert :func:`columns_to_wire`: the ``int64`` column matrix.
+
+    The declared shape must account for the payload exactly: no
+    negative (numpy-inferred) dimension and no surplus or missing bytes.
+    """
     tag, (n_columns, rows), raw = wire
     if tag != I64_TAG:
         raise ServiceError(f"unknown column wire tag {tag!r}")
-    if _np is not None:
-        matrix = _np.frombuffer(raw, dtype="<i8").reshape(n_columns, rows)
-        return tuple(tuple(row) for row in matrix.tolist())
-    flat = struct.unpack(f"<{n_columns * rows}q", raw)
-    return tuple(
-        flat[column * rows : (column + 1) * rows] for column in range(n_columns)
-    )
+    if n_columns < 0 or rows < 0:
+        raise ServiceError(f"negative column matrix shape {[n_columns, rows]}")
+    if len(raw) != 8 * n_columns * rows:
+        raise ServiceError(
+            f"column payload of {len(raw)} bytes does not hold "
+            f"{n_columns}x{rows} int64 cells"
+        )
+    return np.frombuffer(raw, dtype="<i8").reshape(n_columns, rows)
 
 
 def structure_to_wire(structure: RelationStructure) -> list:
@@ -330,16 +327,61 @@ def structure_to_wire(structure: RelationStructure) -> list:
     ]
 
 
+def _columns_in_domain(
+    wire: list, domain_sizes: tuple[int, ...], side: str
+) -> np.ndarray:
+    """Decoded columns with one column per domain, every cell in its domain.
+
+    A cell outside ``[0, domain)`` would collide ``block*domain + value``
+    keys in the kernel's counting passes and silently merge blocks.
+    """
+    matrix = columns_from_wire(wire)
+    if matrix.shape[0] != len(domain_sizes):
+        raise ServiceError(
+            f"{matrix.shape[0]} {side} columns for "
+            f"{len(domain_sizes)} {side} domains"
+        )
+    if matrix.size:
+        bounds = np.asarray(domain_sizes, dtype=np.int64)[:, None]
+        if (matrix < 0).any() or (matrix >= bounds).any():
+            raise ServiceError(f"{side} column value outside its domain")
+    return matrix
+
+
 @_fails_closed
 def structure_from_wire(wire: list) -> RelationStructure:
     """Rebuild a :class:`RelationStructure` from its wire form."""
-    input_sizes, output_sizes, input_columns, output_columns = wire
+    input_sizes, output_sizes, input_wire, output_wire = wire
+    input_sizes, output_sizes = tuple(input_sizes), tuple(output_sizes)
+    inputs = _columns_in_domain(input_wire, input_sizes, "input")
+    outputs = _columns_in_domain(output_wire, output_sizes, "output")
+    if inputs.shape[0] and outputs.shape[0] and inputs.shape[1] != outputs.shape[1]:
+        raise ServiceError(
+            f"ragged structure: {inputs.shape[1]} input rows, "
+            f"{outputs.shape[1]} output rows"
+        )
     return RelationStructure(
-        input_domain_sizes=tuple(input_sizes),
-        output_domain_sizes=tuple(output_sizes),
-        input_columns=columns_from_wire(input_columns),
-        output_columns=columns_from_wire(output_columns),
+        input_domain_sizes=input_sizes,
+        output_domain_sizes=output_sizes,
+        input_columns=tuple(tuple(row) for row in inputs.tolist()),
+        output_columns=tuple(tuple(row) for row in outputs.tolist()),
     )
+
+
+def _structure_under(signature: str, wire: list) -> RelationStructure:
+    """A shipped structure, which must hash to the signature it is sent under.
+
+    Receivers store shipped structures by the sender's signature; one
+    filed under another structure's signature would answer that
+    structure's later requests with wrong Gammas.
+    """
+    structure = structure_from_wire(wire)
+    if structure.signature != signature:
+        raise ServiceError(
+            f"shipped structure hashes to {structure.signature!r}, "
+            f"not its claimed signature {signature!r}"
+        )
+    return structure
 
 
 def task_to_wire(task: GammaTask) -> list:
@@ -388,7 +430,7 @@ def batch_from_wire(wire: list) -> GammaBatch:
         shard_id,
         tuple(task_from_wire(task) for task in tasks),
         {
-            signature: structure_from_wire(structure)
+            signature: _structure_under(signature, structure)
             for signature, structure in structures.items()
         },
         request_id,
@@ -477,7 +519,7 @@ def kernel_export_to_wire(payload: Mapping[str, tuple]) -> dict:
 def kernel_export_from_wire(wire: Mapping[str, list]) -> dict[str, tuple]:
     """Invert :func:`kernel_export_to_wire`."""
     return {
-        signature: (structure_from_wire(structure), plain_from_wire(entries))
+        signature: (_structure_under(signature, structure), plain_from_wire(entries))
         for signature, (structure, entries) in wire.items()
     }
 

@@ -437,10 +437,10 @@ class MultiprocessTransport(Transport):
     detected by liveness probe, replaced with a fresh queue, and its
     shipped-structure set reset so the coordinator re-ships.
 
-    With ``shm_tables`` on (the default when the numpy kernel backend is
-    active) the canonical row table of each shipped structure is packed
-    once into a ``multiprocessing.shared_memory`` segment and batches
-    carry a :class:`~repro.service.protocol.ShmTableRef` instead of the
+    With ``shm_tables`` on (the default) the canonical row table of each
+    shipped structure is packed once into a
+    ``multiprocessing.shared_memory`` segment and batches carry a
+    :class:`~repro.service.protocol.ShmTableRef` instead of the
     structure: workers attach zero-copy rather than unpickling their own
     copy of the row table, and a respawned worker re-attaches to the
     same segment on re-ship.  The transport owns the segments and
@@ -458,7 +458,7 @@ class MultiprocessTransport(Transport):
         snapshot_dir: str | None = None,
         start_method: str | None = None,
         max_restarts: int = 3,
-        shm_tables: bool | None = None,
+        shm_tables: bool = True,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"worker count must be >= 1, got {workers}")
@@ -467,9 +467,7 @@ class MultiprocessTransport(Transport):
         self._budget_bytes = budget_bytes
         self._total_budget_bytes = total_budget_bytes
         self.snapshot_dir = None if snapshot_dir is None else str(snapshot_dir)
-        if shm_tables is None:
-            shm_tables = columnar.active_backend() == "numpy"
-        self.shm_tables = bool(shm_tables) and columnar.numpy_available()
+        self.shm_tables = bool(shm_tables)
         #: signature -> (SharedMemory segment, ShmTableRef); owned here.
         self._shm_segments: dict[str, tuple[object, ShmTableRef]] = {}
         methods = multiprocessing.get_all_start_methods()
@@ -1161,7 +1159,7 @@ def build_transport(
     probe_interval: float | None = None,
     rebalance: bool = True,
     ring_slack: int = 1,
-    shm_tables: bool | None = None,
+    shm_tables: bool = True,
     ssl_context: ssl.SSLContext | None = None,
     tls_ca: str | None = None,
     auth_token: str | None = None,

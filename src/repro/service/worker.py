@@ -136,7 +136,7 @@ def process_batch(
     latter requires ``attachments`` (the multiprocess worker loop passes
     one) and backs the kernel with a zero-copy table over the published
     buffer.  ``want="entry"`` payloads are frozen to pure tuples so the
-    reply is backend-portable and plain data on the wire.
+    reply is plain data on the wire.
     """
     for signature, structure in batch.structures.items():
         if signature in kernels:

@@ -9,10 +9,10 @@ Covers the estimator's statistical contract and its plumbing:
 * **degeneracy** -- a budget covering every row reproduces the exact
   kernel answer byte for byte, and the approx solver then equals the
   exact branch-and-bound node for node;
-* **backend equivalence** -- the vectorized and pure-python tables
-  produce identical interval payloads, and the batched
-  ``exhaust_distincts`` stratum pass agrees with ``sample_distincts``
-  over the full strata;
+* **oracle equivalence** -- kernels on the vectorized table and on the
+  tuple/dict reference table produce identical interval payloads, and
+  the batched ``exhaust_distincts`` stratum pass agrees with
+  ``sample_distincts`` over the full strata;
 * **transports** -- the same :class:`SampleSpec` yields byte-identical
   intervals locally, through the in-process coordinator and through a
   multiprocess pool, with the seed explicit on the wire;
@@ -23,6 +23,7 @@ Covers the estimator's statistical contract and its plumbing:
 from __future__ import annotations
 
 import pytest
+from columnar_oracle import use_table
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,8 +40,6 @@ from repro.privacy.approx import (
     hoeffding_epsilon,
     kernel_sample_interval,
 )
-from repro.privacy import columnar
-from repro.privacy.columnar import use_backend
 from repro.privacy.module_privacy import (
     exact_safe_subset,
     solve_safe_subset,
@@ -314,49 +313,38 @@ class TestApproxSolver:
             assert point.confidence is not None
 
 
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_available(), reason="numpy not installed"
-)
-
-
 class TestBackendEquivalence:
-    def _payload(self, backend: str) -> tuple[int, ...]:
-        with use_backend(backend):
-            relation = sampled_relation(rows=200)
-            spec = SampleSpec(budget=24, seed=2, min_block_samples=2)
-            vi, vo = relation.visibility_of(("i0", "o1"))
-            return kernel_sample_interval(
-                relation.kernel, vi, vo, spec
-            ).to_payload()
+    def _payload(self, table: str) -> tuple[int, ...]:
+        relation = sampled_relation(rows=200)
+        use_table(relation.kernel, table)
+        spec = SampleSpec(budget=24, seed=2, min_block_samples=2)
+        vi, vo = relation.visibility_of(("i0", "o1"))
+        return kernel_sample_interval(relation.kernel, vi, vo, spec).to_payload()
 
-    @needs_numpy
     def test_interval_payloads_identical_across_backends(self):
         assert self._payload("pure") == self._payload("numpy")
 
-    @pytest.mark.parametrize(
-        "backend", ["pure", pytest.param("numpy", marks=needs_numpy)]
-    )
-    def test_exhaust_matches_full_sample(self, backend):
-        with use_backend(backend):
-            relation = sampled_relation(rows=150)
-            kernel = relation.kernel
-            vi, vo = relation.visibility_of(("i0",))
-            partition = kernel.partition(vi)
-            order, offsets = kernel.strata(vi)
-            blocks = list(range(len(offsets) - 1))
-            exhausted = kernel.table.exhaust_distincts(
-                partition, order, offsets, blocks, vo
-            )
-            every_row = [
-                int(order[position])
-                for block in blocks
-                for position in range(offsets[block], offsets[block + 1])
-            ]
-            full = kernel.table.sample_distincts(partition, every_row, vo)
-            assert exhausted == full
-            assert kernel.table.exhaust_distincts(
-                partition, order, offsets, [], vo
-            ) == {}
+    @pytest.mark.parametrize("table", ["pure", "numpy"])
+    def test_exhaust_matches_full_sample(self, table):
+        relation = sampled_relation(rows=150)
+        kernel = use_table(relation.kernel, table)
+        vi, vo = relation.visibility_of(("i0",))
+        partition = kernel.partition(vi)
+        order, offsets = kernel.strata(vi)
+        blocks = list(range(len(offsets) - 1))
+        exhausted = kernel.table.exhaust_distincts(
+            partition, order, offsets, blocks, vo
+        )
+        every_row = [
+            int(order[position])
+            for block in blocks
+            for position in range(offsets[block], offsets[block + 1])
+        ]
+        full = kernel.table.sample_distincts(partition, every_row, vo)
+        assert exhausted == full
+        assert kernel.table.exhaust_distincts(
+            partition, order, offsets, [], vo
+        ) == {}
 
 
 class TestServiceIntegration:

@@ -1,14 +1,16 @@
-"""Columnar numpy Gamma kernel versus the pure-python reference.
+"""Columnar numpy Gamma kernel versus the tuple/dict reference table.
 
-Three contracts of PR 7:
+Three contracts:
 
-* **backend equivalence** -- the vectorized kernel and the pre-existing
-  tuple/dict kernel are byte-identical: same entries, same Gammas, same
-  cache accounting (costs, evictions, counters) on the same workload,
-  including under LRU budgets far smaller than the working set;
-* **portable persistence** -- snapshots freeze array payloads to plain
-  int tuples, so a snapshot written under either backend preloads into
-  the other and answers without recomputation;
+* **oracle equivalence** -- a kernel on the vectorized table and one on
+  the tuple/dict reference table (``columnar_oracle.PureTable``,
+  installed through ``install_table``) are byte-identical: same
+  entries, same Gammas, same cache accounting (costs, evictions,
+  counters) on the same workload, including under LRU budgets far
+  smaller than the working set;
+* **plain-data persistence** -- snapshots freeze array payloads to plain
+  int tuples, and a snapshot preloads into a fresh kernel that answers
+  without recomputation;
 * **zero-copy shipping and coalesced dispatch** -- shared-memory row
   tables are attached/detached without leaking segments, and the
   batch-coalescing dispatcher returns exactly the oracle's results
@@ -20,22 +22,19 @@ from __future__ import annotations
 import os
 
 import pytest
+from columnar_oracle import use_table
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from service_workloads import all_visibility_pairs, entry_requests
 
 from repro.errors import ServiceError
 from repro.experiments import e9_sharding
-from repro.privacy import columnar
-from repro.privacy.columnar import freeze, use_backend
+from repro.privacy.columnar import freeze
 from repro.privacy.kernel_registry import TIMING_STAT_KEYS, GammaKernelRegistry
 from repro.privacy.relations import ModuleRelation
 from repro.service import ShardCoordinator
 from repro.service.persistence import KernelSnapshotStore
-
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_available(), reason="numpy not installed"
-)
+from repro.service.transport import InProcessTransport
 
 RELAXED = settings(
     max_examples=20,
@@ -44,40 +43,40 @@ RELAXED = settings(
 )
 
 
-def _sweep(backend: str, *, n_inputs, n_outputs, domain_size, seed, budget):
-    """Evaluate every visibility pair of one random relation on ``backend``.
+def _sweep(table: str, *, n_inputs, n_outputs, domain_size, seed, budget):
+    """Evaluate every visibility pair of one random relation on ``table``.
 
-    Returns the frozen entries (hashable, backend-independent) and the
-    registry-wide kernel statistics -- including ``bytes_in_use``, so a
-    divergence in cost accounting (and therefore in eviction order)
-    fails the comparison even when the entries agree.
+    ``table`` is ``"numpy"`` (the kernel's own table) or ``"pure"`` (the
+    reference table installed in its place).  Returns the frozen entries
+    (hashable, table-independent) and the registry-wide kernel
+    statistics -- including ``bytes_in_use``, so a divergence in cost
+    accounting (and therefore in eviction order) fails the comparison
+    even when the entries agree.
     """
-    with use_backend(backend):
-        registry = GammaKernelRegistry(total_budget_bytes=budget)
-        relation = ModuleRelation.random(
-            "EQ",
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            domain_size=domain_size,
-            seed=seed,
-            registry=registry,
-        )
-        kernel = relation.kernel
-        entries = [
-            freeze(kernel.entry(vi, vo))
-            for vi, vo in all_visibility_pairs(relation)
-        ]
-        # Wall-time attribution is nondeterministic by nature; every
-        # *counter* must still agree exactly across backends.
-        stats = {
-            key: value
-            for key, value in registry.kernel_stats.items()
-            if key not in TIMING_STAT_KEYS
-        }
-        return entries, stats
+    registry = GammaKernelRegistry(total_budget_bytes=budget)
+    relation = ModuleRelation.random(
+        "EQ",
+        n_inputs=n_inputs,
+        n_outputs=n_outputs,
+        domain_size=domain_size,
+        seed=seed,
+        registry=registry,
+    )
+    kernel = use_table(relation.kernel, table)
+    entries = [
+        freeze(kernel.entry(vi, vo))
+        for vi, vo in all_visibility_pairs(relation)
+    ]
+    # Wall-time attribution is nondeterministic by nature; every
+    # *counter* must still agree exactly across tables.
+    stats = {
+        key: value
+        for key, value in registry.kernel_stats.items()
+        if key not in TIMING_STAT_KEYS
+    }
+    return entries, stats
 
 
-@needs_numpy
 class TestBackendEquivalence:
     @RELAXED
     @given(
@@ -111,17 +110,15 @@ class TestBackendEquivalence:
         assert numpy_stats["evictions"] > 0  # the budget actually bit
 
     def test_gamma_values_are_python_ints(self):
-        # json/msgpack reporting layers choke on numpy scalars; the
-        # kernel's public values must stay native.
-        with use_backend("numpy"):
-            relation = ModuleRelation.random("INT", n_inputs=2, n_outputs=2, seed=3)
-            gamma = relation.achieved_gamma({relation.inputs[0].name})
-            counts = relation.candidate_output_counts({relation.inputs[0].name})
+        # json reporting layers choke on numpy scalars; the kernel's
+        # public values must stay native.
+        relation = ModuleRelation.random("INT", n_inputs=2, n_outputs=2, seed=3)
+        gamma = relation.achieved_gamma({relation.inputs[0].name})
+        counts = relation.candidate_output_counts({relation.inputs[0].name})
         assert type(gamma) is int
         assert all(type(count) is int for count in counts.values())
 
 
-@needs_numpy
 class TestPortableSnapshots:
     def _relation(self, registry):
         return ModuleRelation.random(
@@ -129,41 +126,34 @@ class TestPortableSnapshots:
             registry=registry,
         )
 
-    @pytest.mark.parametrize(
-        "write_backend,read_backend",
-        [("numpy", "pure"), ("pure", "numpy"), ("numpy", "numpy")],
-    )
-    def test_roundtrip_across_backends(self, tmp_path, write_backend, read_backend):
+    def test_snapshot_preloads_without_recomputation(self, tmp_path):
         store = KernelSnapshotStore(str(tmp_path))
-        with use_backend(write_backend):
-            registry = GammaKernelRegistry()
-            relation = self._relation(registry)
-            kernel = relation.kernel
-            expected = {
-                pair: freeze(kernel.entry(*pair))
-                for pair in all_visibility_pairs(relation)
-            }
-            store.snapshot_kernel(kernel)
-            signature = kernel.structure.signature
+        registry = GammaKernelRegistry()
+        relation = self._relation(registry)
+        kernel = relation.kernel
+        expected = {
+            pair: freeze(kernel.entry(*pair))
+            for pair in all_visibility_pairs(relation)
+        }
+        store.snapshot_kernel(kernel)
+        signature = kernel.structure.signature
 
         loaded = store.load(signature)
         assert loaded is not None
         structure, entries = loaded
         assert structure.signature == signature
-        # Snapshot payloads are frozen: no array sneaks onto disk, so
-        # the file is loadable on hosts without numpy at all.
+        # Snapshot payloads are frozen: no array sneaks onto disk.
         for _, payload, _ in entries:
             assert freeze(payload) == payload
 
-        with use_backend(read_backend):
-            registry = GammaKernelRegistry()
-            kernel = self._relation(registry).kernel
-            imported = kernel.import_entries(entries)
-            assert imported == len(entries)
-            stats_before = dict(kernel.kernel_stats)
-            for pair, value in expected.items():
-                assert freeze(kernel.entry(*pair)) == value
-            stats_after = kernel.kernel_stats
+        registry = GammaKernelRegistry()
+        kernel = self._relation(registry).kernel
+        imported = kernel.import_entries(entries)
+        assert imported == len(entries)
+        stats_before = dict(kernel.kernel_stats)
+        for pair, value in expected.items():
+            assert freeze(kernel.entry(*pair)) == value
+        stats_after = kernel.kernel_stats
         # Preloaded entries answered every pair: no recomputation.
         assert (
             stats_after["partition_refinements"]
@@ -172,7 +162,6 @@ class TestPortableSnapshots:
         assert stats_after["grouping_passes"] == stats_before["grouping_passes"]
 
 
-@needs_numpy
 class TestSharedMemoryLifecycle:
     def test_segments_published_once_and_unlinked_on_close(self):
         from multiprocessing import shared_memory
@@ -271,7 +260,11 @@ class TestCoalescedDispatch:
     def test_error_fails_every_member_request_and_nothing_else(self):
         relation = ModuleRelation.random("ERR", n_inputs=3, n_outputs=2, seed=61)
         requests = entry_requests(relation)
-        with ShardCoordinator(1, coalesce=2, task_timeout=30.0) as coordinator:
+        transport = _WithholdingTransport()
+        with ShardCoordinator(
+            transport=transport, coalesce=2, task_timeout=30.0
+        ) as coordinator:
+            transport.withhold = True
             first = coordinator.submit([requests[0]])
             second = coordinator.submit([requests[1]])  # threshold: flushes
             batch_ids = [
@@ -280,7 +273,9 @@ class TestCoalescedDispatch:
                 if {first, second} <= members
             ]
             assert len(batch_ids) == 1  # one batch carries both requests
-            coordinator.transport._result_queue.put(
+            assert transport.withheld == batch_ids
+            transport.withhold = False
+            transport.inject(
                 ("error", 0, batch_ids[0], "injected coalesced failure")
             )
             with pytest.raises(ServiceError, match="injected coalesced failure"):
@@ -291,6 +286,29 @@ class TestCoalescedDispatch:
             # shard still complete.
             third = coordinator.submit(requests[2:4])
             assert len(coordinator.collect(third)) == 2
+
+
+class _WithholdingTransport(InProcessTransport):
+    """An in-process transport that can swallow batches unanswered.
+
+    While ``withhold`` is set, submitted batches are recorded and never
+    evaluated, so a message passed to :meth:`inject` is the only reply
+    the coordinator can see for them -- no real completion can race it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.withhold = False
+        self.withheld: list[int] = []
+
+    def submit(self, batch) -> None:
+        if self.withhold:
+            self.withheld.append(batch.batch_id)
+            return
+        super().submit(batch)
+
+    def inject(self, message: tuple) -> None:
+        self._ready.append(message)
 
 
 class TestE9CoalescedHeadline:

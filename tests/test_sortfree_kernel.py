@@ -1,36 +1,32 @@
-"""Sort-free kernel hot path versus the retained sort-based oracles.
+"""Sort-free kernel hot path versus the sort-based and tuple/dict oracles.
 
-PR 9 replaced the kernel's O(rows log rows) ``np.unique``/``argsort``
-group passes with counting sorts (refinement, fused entry counting) and
-made strata construction incremental (one bucket pass per appended
-column, replaying the cached prefix order).  The sort-based passes are
-kept verbatim as ``reference_*`` oracles; this suite holds the new hot
-path to them byte-for-byte:
-
-* **counting-sort vs argsort equivalence** -- partitions, strata,
-  entries and eviction order agree with the reference passes on random
-  relations (Hypothesis), on both backends, including the degenerate
-  single-block and all-distinct relations where the dense-key-space
-  guard flips between the counting pass and the sort fallback;
-* **incremental strata** -- every prefix chain reproduces the global
-  argsort's ``(order, offsets)`` exactly, and the cached payloads cost
-  exactly their ``order`` + ``offsets`` words on both backends;
-* **snapshot/wire round-trips** -- strata payloads produced by the
-  incremental path freeze/thaw across backends and preload without
-  recomputation, and kernel stats carrying the float ``*_ms`` timers
-  survive the report merge un-truncated.
+* **sort-based references** -- the counting-sort refinement, fused entry
+  counting and incremental strata agree with the table's own
+  ``reference_*`` ``np.unique``/``argsort`` passes on random relations
+  (Hypothesis) and on the degenerate single-block, all-distinct and
+  wide-domain relations where the dense-key-space guard flips to the
+  sort fallback;
+* **the tuple/dict table** (``columnar_oracle.PureTable``) -- every
+  ``NumpyTable`` primitive has an equivalence property against it, and
+  a kernel running on it through ``install_table`` produces the same
+  payloads, costs, eviction sequences and counters;
+* **round-trips** -- strata payloads freeze/thaw and preload without
+  recomputation, and float ``*_ms`` timers survive the stats merge.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
+import numpy as np
 import pytest
+from columnar_oracle import TABLES, PureTable, use_table
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.privacy import columnar
-from repro.privacy.columnar import freeze, thaw_entry, use_backend
+from repro.privacy.columnar import NumpyTable, freeze, thaw_entry
 from repro.privacy.kernel_registry import (
     TIMING_STAT_KEYS,
     GammaKernelRegistry,
@@ -38,17 +34,11 @@ from repro.privacy.kernel_registry import (
 )
 from repro.service.protocol import merge_kernel_stats
 
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_available(), reason="numpy not installed"
-)
-
 RELAXED = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-BACKENDS = ("numpy", "pure") if columnar.numpy_available() else ("pure",)
 
 
 def _structure(draw_columns, *, input_domains, output_domains, rows):
@@ -91,12 +81,15 @@ def random_structures(draw, max_rows=24, max_columns=3, max_domain=4):
 
 
 def degenerate_structures() -> list[RelationStructure]:
-    """Single-block and all-distinct relations, the guard's extremes.
+    """Single-block, all-distinct and wide-domain relations.
 
     A constant input column never splits the single block (the counting
-    pass runs at its smallest key space), while an all-distinct column
-    explodes ``blocks x domain`` past the dense guard and must take the
-    (value-identical) sort fallback.
+    pass runs at its smallest key space); an all-distinct column gives
+    every row its own block; and all-distinct columns over domains far
+    wider than the relation explode ``blocks x domain`` past the dense
+    guard, so refinement and the output fold must take the
+    (value-identical) sort fallbacks -- descending values, so sorted-value
+    order differs from first-occurrence order.
     """
     rows = 12
 
@@ -115,7 +108,21 @@ def degenerate_structures() -> list[RelationStructure]:
         output_domains=[rows],
         rows=rows,
     )
-    return [single_block, all_distinct]
+    def descending(domain, count):
+        return [count - 1 - index for index in range(count)]
+
+    wide = 4 * rows + 1024 + 1
+    wide_domain = _structure(
+        descending,
+        input_domains=[wide, wide],
+        output_domains=[wide, wide],
+        rows=rows,
+    )
+    return [single_block, all_distinct, wide_domain]
+
+
+#: Any relation the primitives must handle, degenerate key spaces included.
+any_structures = random_structures() | st.sampled_from(degenerate_structures())
 
 
 def _visibility_chains(structure):
@@ -134,95 +141,192 @@ def _visibility_chains(structure):
     return input_sets, output_sets
 
 
+def _check_against_reference(structure):
+    """Kernel partitions, strata and entry counts equal the table's
+    sort-based ``reference_*`` passes on every visibility chain."""
+    kernel = GammaKernelRegistry().ensure_kernel(structure)
+    table = kernel.table
+    input_sets, output_sets = _visibility_chains(structure)
+    for visible_inputs in input_sets:
+        partition = kernel.partition(visible_inputs)
+        # Reference: re-refine the whole chain with the sort-based
+        # oracle, outside the cache.
+        reference = table.initial_partition()
+        for index in visible_inputs:
+            reference = table.reference_refine(reference, index)
+        assert freeze(partition) == freeze(reference)
+        order, offsets = kernel.strata(visible_inputs)
+        ref_order, ref_offsets = table.reference_strata(reference)
+        assert freeze(order) == freeze(ref_order)
+        assert tuple(offsets) == tuple(ref_offsets)
+        blocks = columnar.block_count(partition)
+        for visible_outputs in output_sets:
+            kernel.entry(visible_inputs, visible_outputs)
+            fused = table.fused_entry(partition, blocks, visible_outputs)
+            assert freeze(fused) == freeze(
+                table.reference_distinct_projections(
+                    partition, blocks, visible_outputs
+                )
+            )
+
+
 class TestCountingSortEquivalence:
     @RELAXED
     @given(structure=random_structures())
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_partitions_strata_entries_match_reference(self, backend, structure):
-        with use_backend(backend):
-            registry = GammaKernelRegistry()
-            kernel = registry.ensure_kernel(structure)
-            table = kernel.table
-            input_sets, output_sets = _visibility_chains(structure)
-            for visible_inputs in input_sets:
-                partition = kernel.partition(visible_inputs)
-                # Reference: re-refine the whole chain with the sort-based
-                # oracle, outside the cache.
-                reference = table.initial_partition()
-                for index in visible_inputs:
-                    reference = table.reference_refine(reference, index)
-                assert freeze(partition) == freeze(reference)
-                order, offsets = kernel.strata(visible_inputs)
-                ref_order, ref_offsets = table.reference_strata(reference)
-                assert freeze(order) == freeze(ref_order)
-                assert tuple(offsets) == tuple(ref_offsets)
-                blocks = columnar.block_count(partition)
-                for visible_outputs in output_sets:
-                    _, counts, gamma = kernel.entry(
-                        visible_inputs, visible_outputs
-                    )
-                    reference_distinct = table.reference_distinct_projections(
-                        partition, blocks, visible_outputs
-                    )
-                    fused = table.fused_entry(partition, blocks, visible_outputs)
-                    assert freeze(fused) == freeze(reference_distinct)
+    def test_partitions_strata_entries_match_reference(self, structure):
+        _check_against_reference(structure)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("structure", degenerate_structures())
-    def test_degenerate_relations_match_reference(self, backend, structure):
-        with use_backend(backend):
-            registry = GammaKernelRegistry()
-            kernel = registry.ensure_kernel(structure)
-            table = kernel.table
-            input_sets, output_sets = _visibility_chains(structure)
-            for visible_inputs in input_sets:
-                partition = kernel.partition(visible_inputs)
-                reference = table.initial_partition()
-                for index in visible_inputs:
-                    reference = table.reference_refine(reference, index)
-                assert freeze(partition) == freeze(reference)
-                order, offsets = kernel.strata(visible_inputs)
-                ref_order, ref_offsets = table.reference_strata(reference)
-                assert freeze(order) == freeze(ref_order)
-                assert tuple(offsets) == tuple(ref_offsets)
-                blocks = columnar.block_count(partition)
-                for visible_outputs in output_sets:
-                    fused = table.fused_entry(partition, blocks, visible_outputs)
-                    assert freeze(fused) == freeze(
-                        table.reference_distinct_projections(
-                            partition, blocks, visible_outputs
-                        )
-                    )
+    def test_degenerate_relations_match_reference(self, structure):
+        _check_against_reference(structure)
 
-    @needs_numpy
+
+class _State(NamedTuple):
+    """One table's partition and incrementally built strata."""
+
+    table: object
+    partition: object
+    order: object
+    offsets: tuple
+
+    def refined(self, index: int) -> "_State":
+        partition = self.table.refine(self.partition, index)
+        strata = self.table.refine_strata(self.order, partition, index)
+        return _State(self.table, partition, *strata)
+
+
+def _oracle_states(structure):
+    """``(numpy, pure)`` states at the end of every visible-input chain."""
+    tables = (NumpyTable.from_structure(structure), PureTable(structure))
+    input_sets, _ = _visibility_chains(structure)
+    for visible_inputs in input_sets:
+        numpy_state, pure_state = (
+            _State(table, table.initial_partition(), *table.initial_strata())
+            for table in tables
+        )
+        for index in visible_inputs:
+            numpy_state = numpy_state.refined(index)
+            pure_state = pure_state.refined(index)
+        yield numpy_state, pure_state
+
+
+def _some_blocks(data, partition) -> list[int]:
+    blocks = columnar.block_count(partition)
+    if not blocks:
+        return []
+    return data.draw(st.lists(st.integers(0, blocks - 1), unique=True))
+
+
+def _plain(stats: dict) -> dict:
+    """A table's per-block dict with numpy keys and arrays made plain."""
+    return {int(block): freeze(value) for block, value in stats.items()}
+
+
+class TestOracleEquivalence:
+    """Every ``NumpyTable`` primitive against the tuple/dict table."""
+
     @RELAXED
-    @given(structure=random_structures())
-    def test_backends_agree_on_sampled_strata_helpers(self, structure):
-        """block_sizes/block_rows/largest_blocks agree across backends."""
-        results = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                kernel = GammaKernelRegistry().ensure_kernel(structure)
-                table = kernel.table
-                visible_inputs = tuple(
-                    range(len(structure.input_domain_sizes))
+    @given(structure=any_structures)
+    def test_refine(self, structure):
+        for numpy_state, pure_state in _oracle_states(structure):
+            assert freeze(numpy_state.partition) == pure_state.partition
+
+    @RELAXED
+    @given(structure=any_structures)
+    def test_strata(self, structure):
+        for numpy_state, pure_state in _oracle_states(structure):
+            order, offsets = numpy_state.table.reference_strata(
+                numpy_state.partition
+            )
+            expected = pure_state.table.strata(pure_state.partition)
+            assert (freeze(order), offsets) == expected
+
+    @RELAXED
+    @given(structure=any_structures)
+    def test_refine_strata(self, structure):
+        for numpy_state, pure_state in _oracle_states(structure):
+            assert freeze(numpy_state.order) == pure_state.order
+            assert tuple(numpy_state.offsets) == pure_state.offsets
+
+    @RELAXED
+    @given(structure=any_structures)
+    def test_fused_entry(self, structure):
+        _, output_sets = _visibility_chains(structure)
+        for numpy_state, pure_state in _oracle_states(structure):
+            blocks = columnar.block_count(pure_state.partition)
+            for outputs in output_sets:
+                expected = pure_state.table.fused_entry(
+                    pure_state.partition, blocks, outputs
                 )
-                partition = kernel.partition(visible_inputs)
-                sizes = table.block_sizes(partition)
-                some = list(range(0, len(sizes), 2))
-                gathered = table.block_rows(partition, some)
-                results[backend] = (
-                    list(sizes),
-                    {
-                        block: tuple(int(row) for row in rows)
-                        for block, rows in gathered.items()
-                    },
-                    table.largest_blocks(sizes, max(1, len(sizes) // 2)),
-                    [int(r) for r in table.concat_rows(
-                        [gathered[b] for b in some]
-                    )],
+                got = numpy_state.table.fused_entry(
+                    numpy_state.partition, blocks, outputs
                 )
-        assert results["numpy"] == results["pure"]
+                assert freeze(got) == tuple(expected)
+
+    @RELAXED
+    @given(structure=any_structures)
+    def test_block_sizes(self, structure):
+        for numpy_state, pure_state in _oracle_states(structure):
+            assert numpy_state.table.block_sizes(
+                numpy_state.partition
+            ) == pure_state.table.block_sizes(pure_state.partition)
+
+    @RELAXED
+    @given(structure=any_structures, data=st.data())
+    def test_block_rows(self, structure, data):
+        for numpy_state, pure_state in _oracle_states(structure):
+            listed = _some_blocks(data, pure_state.partition)
+            gathered = numpy_state.table.block_rows(numpy_state.partition, listed)
+            expected = pure_state.table.block_rows(pure_state.partition, listed)
+            assert _plain(gathered) == expected
+            chunks = [gathered[block] for block in listed]
+            assert freeze(numpy_state.table.concat_rows(chunks)) == (
+                pure_state.table.concat_rows([expected[b] for b in listed])
+            )
+
+    @RELAXED
+    @given(structure=any_structures, data=st.data())
+    def test_largest_blocks(self, structure, data):
+        for numpy_state, pure_state in _oracle_states(structure):
+            sizes = pure_state.table.block_sizes(pure_state.partition)
+            limit = data.draw(st.integers(0, len(sizes) + 1))
+            assert numpy_state.table.largest_blocks(
+                sizes, limit
+            ) == pure_state.table.largest_blocks(sizes, limit)
+
+    @RELAXED
+    @given(structure=any_structures, data=st.data())
+    def test_sample_distincts(self, structure, data):
+        _, output_sets = _visibility_chains(structure)
+        rows = data.draw(
+            st.lists(st.integers(0, structure.row_count - 1))
+            if structure.row_count
+            else st.just([])
+        )
+        for numpy_state, pure_state in _oracle_states(structure):
+            for outputs in output_sets:
+                got = numpy_state.table.sample_distincts(
+                    numpy_state.partition, np.asarray(rows, dtype=np.int64), outputs
+                )
+                assert _plain(got) == pure_state.table.sample_distincts(
+                    pure_state.partition, rows, outputs
+                )
+
+    @RELAXED
+    @given(structure=any_structures, data=st.data())
+    def test_exhaust_distincts(self, structure, data):
+        _, output_sets = _visibility_chains(structure)
+        for numpy_state, pure_state in _oracle_states(structure):
+            listed = _some_blocks(data, pure_state.partition)
+            for outputs in output_sets:
+                got = numpy_state.table.exhaust_distincts(
+                    numpy_state.partition, numpy_state.order,
+                    numpy_state.offsets, listed, outputs,
+                )
+                assert _plain(got) == pure_state.table.exhaust_distincts(
+                    pure_state.partition, pure_state.order,
+                    pure_state.offsets, listed, outputs,
+                )
 
 
 class TestEvictionOrderEquivalence:
@@ -234,91 +338,76 @@ class TestEvictionOrderEquivalence:
     def test_eviction_sequence_identical_across_paths_and_backends(
         self, structure, budget
     ):
-        """Same evicted-key sequence on every backend under tight budgets,
-        with strata entries in the mix (their cost is the true payload)."""
+        """Same evicted-key sequence on the numpy and the oracle table
+        under tight budgets, with strata entries in the mix (their cost
+        is the true payload)."""
         sequences = {}
-        for backend in BACKENDS:
+        for table in TABLES:
             evicted: list[tuple] = []
-            with use_backend(backend):
-                registry = GammaKernelRegistry(total_budget_bytes=budget)
-                registry.set_eviction_sink(
-                    lambda structure, key, payload, cost: evicted.append(
-                        (key, freeze(payload), cost)
-                    )
+            registry = GammaKernelRegistry(total_budget_bytes=budget)
+            registry.set_eviction_sink(
+                lambda structure, key, payload, cost: evicted.append(
+                    (key, freeze(payload), cost)
                 )
-                kernel = registry.ensure_kernel(structure)
-                input_sets, output_sets = _visibility_chains(structure)
-                for visible_inputs in input_sets:
-                    kernel.strata(visible_inputs)
-                    for visible_outputs in output_sets:
-                        kernel.entry(visible_inputs, visible_outputs)
-            sequences[backend] = evicted
-        first = sequences[BACKENDS[0]]
-        for backend in BACKENDS[1:]:
-            assert sequences[backend] == first
+            )
+            kernel = use_table(registry.ensure_kernel(structure), table)
+            input_sets, output_sets = _visibility_chains(structure)
+            for visible_inputs in input_sets:
+                kernel.strata(visible_inputs)
+                for visible_outputs in output_sets:
+                    kernel.entry(visible_inputs, visible_outputs)
+            sequences[table] = evicted
+        assert sequences["numpy"] == sequences["pure"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_strata_cost_charges_true_payload(self, backend):
+    @pytest.mark.parametrize("table", TABLES)
+    def test_strata_cost_charges_true_payload(self, table):
         structure = degenerate_structures()[0]
-        with use_backend(backend):
-            kernel = GammaKernelRegistry().ensure_kernel(structure)
-            for visible_inputs in ((), (0,), (0, 1)):
-                order, offsets = kernel.strata(visible_inputs)
-                key = ("strata", visible_inputs)
-                _, cost = kernel._entries[key]
-                assert cost == columnar.payload_bytes(
-                    order
-                ) + columnar.payload_bytes(offsets)
-                assert cost == (len(order) + len(offsets)) * columnar.WORD_BYTES
+        kernel = use_table(GammaKernelRegistry().ensure_kernel(structure), table)
+        for visible_inputs in ((), (0,), (0, 1)):
+            order, offsets = kernel.strata(visible_inputs)
+            key = ("strata", visible_inputs)
+            _, cost = kernel._entries[key]
+            assert cost == columnar.payload_bytes(
+                order
+            ) + columnar.payload_bytes(offsets)
+            assert cost == (len(order) + len(offsets)) * columnar.WORD_BYTES
 
 
 class TestPayloadRoundTrips:
     @RELAXED
     @given(structure=random_structures(max_rows=12))
     def test_strata_payloads_freeze_thaw_across_backends(self, structure):
-        frozen_by_backend = {}
-        for backend in BACKENDS:
-            with use_backend(backend):
-                kernel = GammaKernelRegistry().ensure_kernel(structure)
-                visible_inputs = tuple(range(len(structure.input_domain_sizes)))
-                kernel.strata(visible_inputs)
-                frozen_by_backend[backend] = {
-                    key: (freeze(payload), cost)
-                    for key, (payload, cost) in kernel._entries.items()
-                    if key[0] == "strata"
-                }
-        reference = frozen_by_backend[BACKENDS[0]]
+        frozen_by_table = {}
+        for table in TABLES:
+            kernel = use_table(GammaKernelRegistry().ensure_kernel(structure), table)
+            visible_inputs = tuple(range(len(structure.input_domain_sizes)))
+            kernel.strata(visible_inputs)
+            frozen_by_table[table] = {
+                key: (freeze(payload), cost)
+                for key, (payload, cost) in kernel._entries.items()
+                if key[0] == "strata"
+            }
+        reference = frozen_by_table["pure"]
         assert reference  # the chain cached at least the root stratum
-        for backend, entries in frozen_by_backend.items():
-            assert entries == reference
-        # Thawing restores the active backend's native container with the
-        # same frozen image -- the snapshot/wire round-trip contract.
-        for backend in BACKENDS:
-            with use_backend(backend):
-                for key, (payload, _) in reference.items():
-                    assert freeze(thaw_entry(key, payload)) == payload
+        assert frozen_by_table["numpy"] == reference
+        # Thawing restores arrays with the same frozen image -- the
+        # snapshot/wire round-trip contract.
+        for key, (payload, _) in reference.items():
+            thawed = thaw_entry(key, payload)
+            assert isinstance(thawed[0], np.ndarray)
+            assert freeze(thawed) == payload
 
-    @pytest.mark.parametrize(
-        "write_backend,read_backend",
-        [(a, b) for a in BACKENDS for b in BACKENDS],
-    )
-    def test_preloaded_strata_answer_without_recomputation(
-        self, write_backend, read_backend
-    ):
+    def test_preloaded_strata_answer_without_recomputation(self):
         structure = degenerate_structures()[0]
-        with use_backend(write_backend):
-            kernel = GammaKernelRegistry().ensure_kernel(structure)
-            visible_inputs = (0, 1)
-            expected = tuple(
-                freeze(item) for item in kernel.strata(visible_inputs)
-            )
-            exported = kernel.export_entries()
-        with use_backend(read_backend):
-            warm = GammaKernelRegistry().ensure_kernel(structure)
-            warm.import_entries(exported)
-            before = warm.counters
-            got = tuple(freeze(item) for item in warm.strata(visible_inputs))
-            after = warm.counters
+        kernel = GammaKernelRegistry().ensure_kernel(structure)
+        visible_inputs = (0, 1)
+        expected = tuple(freeze(item) for item in kernel.strata(visible_inputs))
+        exported = kernel.export_entries()
+        warm = GammaKernelRegistry().ensure_kernel(structure)
+        warm.import_entries(exported)
+        before = warm.counters
+        got = tuple(freeze(item) for item in warm.strata(visible_inputs))
+        after = warm.counters
         assert got == expected
         assert after["strata_refinements"] == before["strata_refinements"]
         assert after["partition_refinements"] == before["partition_refinements"]
@@ -336,16 +425,15 @@ class TestPayloadRoundTrips:
         assert merged["strata_build_ms"] == pytest.approx(1.75)
         assert isinstance(merged["grouping_passes"], int)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_timers_and_fused_counter_populated(self, backend):
+    @pytest.mark.parametrize("table", TABLES)
+    def test_timers_and_fused_counter_populated(self, table):
         structure = degenerate_structures()[1]
-        with use_backend(backend):
-            registry = GammaKernelRegistry()
-            kernel = registry.ensure_kernel(structure)
-            kernel.entry((0, 1), (0,))
-            kernel.strata((0, 1))
-            stats = kernel.kernel_stats
-            aggregate = registry.aggregate_counters()
+        registry = GammaKernelRegistry()
+        kernel = use_table(registry.ensure_kernel(structure), table)
+        kernel.entry((0, 1), (0,))
+        kernel.strata((0, 1))
+        stats = kernel.kernel_stats
+        aggregate = registry.aggregate_counters()
         assert stats["entry_fused_passes"] == 1
         assert stats["strata_refinements"] == 2  # (0,) then (0, 1)
         for key in TIMING_STAT_KEYS:

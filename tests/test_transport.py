@@ -27,7 +27,7 @@ from service_workloads import entry_requests, search_requirements
 
 from repro.errors import ServiceError, WorkerCrashError
 from repro.experiments import e10_transport
-from repro.privacy.kernel_registry import GammaKernelRegistry
+from repro.privacy.kernel_registry import GammaKernelRegistry, RelationStructure
 from repro.privacy.relations import ModuleRelation
 from repro.privacy.workflow_privacy import exact_secure_view, secure_view
 from repro.service import (
@@ -171,8 +171,44 @@ class _CreatesFile:
         return (open, (self.path, "w"))
 
 
-#: Validly framed, validly pickled payloads that are not messages.
-MALFORMED_PAYLOADS = (["batch", [1]], [], ["need", 1], {"a": 1})
+def _shipping(structure_wire: list, signature: str = "0" * 32) -> list:
+    """A task-less batch wire form shipping one structure wire form."""
+    return ["batch", [1, 0, 1, [], {signature: structure_wire}]]
+
+
+def _self_signed(inputs, outputs=((1, 0, 0, 1),)) -> list:
+    """Unchecked columns over input domains (2, 2) and output domain (2,),
+    shipped under their own signature: only the shape and value checks
+    can refuse them."""
+    structure = RelationStructure((2, 2), (2,), inputs, outputs)
+    return _shipping(structure_to_wire(structure), structure.signature)
+
+
+_SIZES = [[2, 2], [2]]
+_INPUTS = ((0, 1, 0, 1), (0, 0, 1, 1))
+_SOUND = RelationStructure((2, 2), (2,), _INPUTS, ((1, 0, 0, 1),))
+
+#: Validly framed, validly pickled payloads that are not messages, or
+#: carry a structure the sender never declared consistently.
+MALFORMED_PAYLOADS = (
+    ["batch", [1]],
+    [],
+    ["need", 1],
+    {"a": 1},
+    # A -1 dimension numpy would infer from the payload length.
+    _shipping([*_SIZES, ["i64", [-1, 2], bytes(32)], ["i64", [1, 4], bytes(32)]]),
+    # A payload longer than the declared cells.
+    _shipping([*_SIZES, ["i64", [2, 4], bytes(72)], ["i64", [1, 4], bytes(32)]]),
+    # Fewer input columns than input domains.
+    _self_signed(_INPUTS[:1]),
+    # Ragged: four input rows, three output rows.
+    _self_signed(_INPUTS, ((1, 0, 0),)),
+    # Values outside [0, domain): they would merge refinement blocks.
+    _self_signed(((0, 1, 0, 2), (0, 0, 1, 1))),
+    _self_signed(_INPUTS, ((1, 0, -1, 1),)),
+    # A warm-handoff import filing a structure under another signature.
+    ["import", {"0" * 32: [structure_to_wire(_SOUND), []]}],
+)
 
 
 class TestDataOnlyFrames:
@@ -402,6 +438,39 @@ class TestSocketServer:
                 for _ in range(2):
                     for relation, baseline in zip(relations, baselines):
                         assert client.gammas(entry_requests(relation)) == baseline
+
+
+class TestShippedStructureSignatures:
+    def test_structure_shipped_under_another_signature_is_refused(self, tmp_path):
+        victim = ModuleRelation.random("V", seed=71)
+        poison = ModuleRelation.random("P", seed=72)
+        requests = entry_requests(victim)
+        expected = ShardCoordinator(0).gammas(requests)
+        assert ShardCoordinator(0).gammas(entry_requests(poison)) != expected
+        signature = victim.structure_signature.signature
+        poisoning = GammaBatch(
+            batch_id=1,
+            shard_id=0,
+            tasks=(),
+            structures={signature: poison.structure_signature},
+        )
+        with GammaServer(("unix", str(tmp_path / "shared.sock"))) as server:
+            with ShardCoordinator(address=server.address) as client:
+                assert client.gammas(requests[:1]) == expected[:1]
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(5.0)
+                sock.connect(server.address[1])
+                try:
+                    sock.sendall(encode_frame((MSG_BATCH, poisoning)))
+                    # An answer if the batch was accepted (even an empty
+                    # one is answered), EOF if it was refused: either
+                    # way the server has handled the frame.
+                    reply = sock.recv(1)
+                finally:
+                    sock.close()
+                assert client.gammas(requests) == expected
+            assert reply == b""
+            assert server.stats()["server_errors"] == 1
 
 
 class TestPipelinedSecureView:
