@@ -729,9 +729,9 @@ class ShardCoordinator:
     def preloaded_entries(self) -> int:
         """Cache entries restored from snapshots at (worker/server) start."""
         with self._lock:
-            live = self.transport.live_kernel_stats()
-            if live is not None:
-                return self.transport.preloaded_entries
+            local = self.transport.preloaded_entries
+            if local is not None:
+                return local
             return sum(
                 report.preloaded_entries for report in self._last_reports.values()
             )

@@ -927,6 +927,8 @@ class GammaServer:
                     backend_result.gamma,
                     interval=backend_result.interval,
                 )
+        # Neither call rebuilds registry stats: the backend hands out the
+        # stats it built for the batches just evaluated.
         kernel_stats = self._backend.kernel_stats()
         preloaded = self._backend.preloaded_entries
         results = [by_task_id[task.task_id] for task in batch.tasks]

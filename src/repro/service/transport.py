@@ -259,11 +259,11 @@ class Transport(abc.ABC):
         return 0
 
     @property
-    def preloaded_entries(self) -> int:
+    def preloaded_entries(self) -> int | None:
         """Snapshot entries preloaded locally (in-process transport only);
-        remote transports report 0 and the coordinator reads the gauge
+        ``None`` for remote transports, whose gauge the coordinator reads
         from shard reports instead."""
-        return 0
+        return None
 
     def live_kernel_stats(self) -> dict[str, int] | None:
         """Authoritative kernel stats, for transports with local state."""
@@ -315,6 +315,10 @@ class InProcessTransport(Transport):
         self._kernels: dict[str, SharedGammaKernel] = {
             kernel.structure.signature: kernel for kernel in self.registry.kernels
         }
+        #: Registry stats as of the last change through this transport:
+        #: built once per batch, shipped in its report and copied out by
+        #: :meth:`live_kernel_stats` without being rebuilt.
+        self._stats = self._registry_stats()
         self._ready: deque[tuple] = deque()
         self._closed = False
 
@@ -333,16 +337,23 @@ class InProcessTransport(Transport):
     def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
         pass  # pragma: no cover - local kernels are never forgotten
 
+    def _registry_stats(self) -> dict[str, int]:
+        return {
+            **self.registry.kernel_stats,
+            **self.registry.aggregate_counters(),
+        }
+
     def submit(self, batch: GammaBatch) -> None:
-        results = process_batch(batch, self._kernels, self.registry)
+        try:
+            results = process_batch(batch, self._kernels, self.registry)
+        finally:
+            # Even a failed batch may have warmed kernels.
+            self._stats = self._registry_stats()
         report = ShardReport(
             shard_id=0,
             batch_id=batch.batch_id,
             completed=len(results),
-            kernel_stats={
-                **self.registry.kernel_stats,
-                **self.registry.aggregate_counters(),
-            },
+            kernel_stats=self._stats,
             preloaded_entries=self._preloaded,
         )
         self._ready.append((MSG_BATCH, 0, batch.batch_id, results, report))
@@ -361,10 +372,7 @@ class InProcessTransport(Transport):
         return self._preloaded
 
     def live_kernel_stats(self) -> dict[str, int]:
-        return {
-            **self.registry.kernel_stats,
-            **self.registry.aggregate_counters(),
-        }
+        return dict(self._stats)
 
     def export_kernel_entries(
         self, signatures: Iterable[str]
@@ -399,6 +407,7 @@ class InProcessTransport(Transport):
             kernel = self.registry.ensure_kernel(structure)
             self._kernels[signature] = kernel
             imported += kernel.import_entries(entries)
+        self._stats = self._registry_stats()
         if self.store is not None:
             self.store.import_signatures(payload)
         return imported
