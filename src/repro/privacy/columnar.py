@@ -151,10 +151,10 @@ class NumpyTable:
     """Vectorized evaluation over 2-D ``int64`` domain-position matrices.
 
     ``input_matrix``/``output_matrix`` hold one attribute per matrix row
-    and one relation row per column; they may be owned (built from a
-    structure's tuples) or *borrowed* as read-only views of an external
-    buffer (a shared-memory segment), in which case the caller keeps the
-    buffer alive for the table's lifetime.
+    and one relation row per column.  They are never written: a table
+    shares its structure's read-only matrices, or *borrows* read-only
+    views of an external buffer (a shared-memory segment), in which case
+    the caller keeps the buffer alive for the table's lifetime.
     """
 
     __slots__ = (
@@ -181,16 +181,10 @@ class NumpyTable:
     # -- construction ----------------------------------------------------
     @classmethod
     def from_structure(cls, structure: "RelationStructure") -> "NumpyTable":
-        rows = structure.row_count
-        input_matrix = np.asarray(structure.input_columns, dtype=np.int64).reshape(
-            len(structure.input_columns), rows
-        )
-        output_matrix = np.asarray(structure.output_columns, dtype=np.int64).reshape(
-            len(structure.output_columns), rows
-        )
+        """A table over the structure's own read-only matrices (no copy)."""
         return cls(
-            input_matrix,
-            output_matrix,
+            structure.input_columns,
+            structure.output_columns,
             structure.input_domain_sizes,
             structure.output_domain_sizes,
         )
@@ -236,15 +230,6 @@ class NumpyTable:
             output_matrix,
             tuple(input_domain_sizes),
             tuple(output_domain_sizes),
-        )
-
-    def column_tuples(
-        self,
-    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The canonical columns as nested tuples (structure reconstruction)."""
-        return (
-            tuple(tuple(row) for row in self.input_matrix.tolist()),
-            tuple(tuple(row) for row in self.output_matrix.tolist()),
         )
 
     # -- evaluation primitives -------------------------------------------

@@ -9,10 +9,10 @@ per-block candidate counts -- depends only on the relation's *structure*
 (domain sizes and the equality pattern of the row table), not on
 attribute names or concrete values.  The registry exploits that:
 
-* :class:`RelationStructure` canonicalizes a relation by renaming every
-  attribute positionally and every value to its index in the attribute's
-  domain, so two relations that differ only in naming hash to the same
-  signature;
+* :class:`RelationStructure` is a relation's canonical form: every
+  attribute renamed positionally and every value to its index in the
+  attribute's domain, held as two read-only ``int64`` matrices, so two
+  relations that differ only in naming hash to the same signature;
 * :class:`SharedGammaKernel` holds the memoized partition / kernel-entry
   caches for one structure, with per-entry byte accounting (roughly
   ``entries x row count`` machine words) and LRU eviction past a
@@ -41,6 +41,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
+
+import numpy as np
 
 from repro.errors import PrivacyError
 from repro.privacy import columnar
@@ -75,7 +77,7 @@ COUNTER_KEYS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationStructure:
     """Canonical, name-free structure of a module relation.
 
@@ -87,65 +89,115 @@ class RelationStructure:
     the same way -- e.g. enumerated from the same function or generated
     from the same seed -- always match, while permuted tables are treated
     as distinct rather than risking an unsound merge.
+
+    ``input_columns``/``output_columns`` are read-only ``[n, rows]``
+    ``int64`` matrices of domain positions, one matrix row per attribute.
+    Nested int sequences are accepted and converted once here; arrays
+    are taken as they are (no copy) and frozen, so a structure can never
+    change under the signature computed from it.  Equality is equal
+    domain sizes and equal matrices; the hash is the signature's.
     """
 
     input_domain_sizes: tuple[int, ...]
     output_domain_sizes: tuple[int, ...]
-    input_columns: tuple[tuple[int, ...], ...]
-    output_columns: tuple[tuple[int, ...], ...]
+    input_columns: np.ndarray
+    output_columns: np.ndarray
+
+    def __post_init__(self) -> None:
+        input_sizes = tuple(map(int, self.input_domain_sizes))
+        output_sizes = tuple(map(int, self.output_domain_sizes))
+        inputs = _frozen_matrix(self.input_columns, len(input_sizes))
+        outputs = _frozen_matrix(self.output_columns, len(output_sizes))
+        header = (len(input_sizes), len(output_sizes), *inputs.shape, *outputs.shape)
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(np.asarray(header + input_sizes + output_sizes, dtype="<i8"))
+        digest.update(inputs)
+        digest.update(outputs)
+        for name, value in (
+            ("input_domain_sizes", input_sizes),
+            ("output_domain_sizes", output_sizes),
+            ("input_columns", inputs),
+            ("output_columns", outputs),
+            ("_signature", digest.hexdigest()),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def row_count(self) -> int:
         """Number of rows of the canonical table."""
-        return len(self.input_columns[0]) if self.input_columns else 0
+        return self.input_columns.shape[1] if len(self.input_columns) else 0
 
     @property
     def signature(self) -> str:
         """Stable, process-independent hex digest of the structure.
 
-        ``hash()`` of the dataclass would do within one interpreter, but
-        the sharded evaluation service routes work across *processes* by
-        signature, so the digest must not depend on ``PYTHONHASHSEED`` or
-        interpreter internals.  The fields are all ints and tuples of
-        ints, whose ``repr`` is deterministic, so hashing the repr gives
-        a canonical 128-bit name for the structure.  Cached on first use
-        (the instance is frozen but not slotted).
+        ``hash()`` would do within one interpreter, but the sharded
+        evaluation service routes work across *processes* by signature,
+        so the digest must not depend on ``PYTHONHASHSEED`` or
+        interpreter internals.  It is the 128-bit blake2b of the
+        little-endian ``<i8`` words ``(n_inputs, n_outputs, *input
+        shape, *output shape, *input domain sizes, *output domain
+        sizes)`` followed by the ``<i8`` bytes of the input and then the
+        output matrix, computed once at construction.
         """
-        cached = self.__dict__.get("_signature")
-        if cached is None:
-            material = repr(
-                (
-                    self.input_domain_sizes,
-                    self.output_domain_sizes,
-                    self.input_columns,
-                    self.output_columns,
-                )
-            ).encode("ascii")
-            cached = hashlib.blake2b(material, digest_size=16).hexdigest()
-            object.__setattr__(self, "_signature", cached)
-        return cached
+        return self._signature
 
-    @classmethod
-    def of(cls, relation: "ModuleRelation") -> "RelationStructure":
-        """Canonicalize ``relation`` (values become domain positions)."""
-        row_keys = tuple(relation.rows_view)
-        input_columns = []
-        for position, attribute in enumerate(relation.inputs):
-            code = {value: index for index, value in enumerate(attribute.domain)}
-            input_columns.append(tuple(code[key[position]] for key in row_keys))
-        rows = relation.rows_view
-        output_columns = []
-        for position, attribute in enumerate(relation.outputs):
-            code = {value: index for index, value in enumerate(attribute.domain)}
-            output_columns.append(
-                tuple(code[rows[key][position]] for key in row_keys)
-            )
-        return cls(
-            input_domain_sizes=tuple(len(a.domain) for a in relation.inputs),
-            output_domain_sizes=tuple(len(a.domain) for a in relation.outputs),
-            input_columns=tuple(input_columns),
-            output_columns=tuple(output_columns),
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RelationStructure):
+            return NotImplemented
+        return self is other or (
+            self.input_domain_sizes == other.input_domain_sizes
+            and self.output_domain_sizes == other.output_domain_sizes
+            and np.array_equal(self.input_columns, other.input_columns)
+            and np.array_equal(self.output_columns, other.output_columns)
         )
+
+    def __hash__(self) -> int:
+        return hash(self._signature)
+
+    def __reduce__(self):
+        """Pickle as plain data: domain sizes, shapes and packed bytes."""
+        return (
+            _unpack_structure,
+            (
+                self.input_domain_sizes,
+                self.output_domain_sizes,
+                self.input_columns.shape,
+                self.output_columns.shape,
+                self.input_columns.tobytes(),
+                self.output_columns.tobytes(),
+            ),
+        )
+
+
+def _frozen_matrix(columns, n_columns: int) -> np.ndarray:
+    """``columns`` as a read-only, C-contiguous ``[n_columns, rows]`` ``<i8`` matrix.
+
+    An array already in that form is used as it is (and frozen), so a
+    structure never copies a matrix it is handed.
+    """
+    matrix = np.ascontiguousarray(columns, dtype="<i8")
+    if matrix.ndim != 2:
+        matrix = matrix.reshape(n_columns, -1 if n_columns else 0)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _unpack_structure(
+    input_domain_sizes: tuple[int, ...],
+    output_domain_sizes: tuple[int, ...],
+    input_shape: tuple[int, int],
+    output_shape: tuple[int, int],
+    input_bytes: bytes,
+    output_bytes: bytes,
+) -> "RelationStructure":
+    """Inverse of :meth:`RelationStructure.__reduce__` (re-hashes the table)."""
+    return RelationStructure(
+        input_domain_sizes,
+        output_domain_sizes,
+        np.frombuffer(input_bytes, dtype="<i8").reshape(input_shape),
+        np.frombuffer(output_bytes, dtype="<i8").reshape(output_shape),
+    )
 
 
 class _RegistryTotals:
@@ -597,10 +649,8 @@ class SharedGammaKernel:
         so it is reported separately rather than competing with the
         evictable cache entries for the byte budget.
         """
-        columns = len(self.structure.input_columns) + len(
-            self.structure.output_columns
-        )
-        return columns * self.structure.row_count * WORD_BYTES
+        structure = self.structure
+        return structure.input_columns.nbytes + structure.output_columns.nbytes
 
     @property
     def kernel_stats(self) -> dict[str, int | float]:

@@ -16,8 +16,12 @@ input* per subset) costs O(rows^2) per evaluation.  The kernel built at
 construction time makes each distinct evaluation O(rows) and repeat
 evaluations O(1):
 
-* the table is stored column-oriented (one value tuple per attribute), so
-  projections never rebuild row tuples;
+* the table is canonicalised at construction into two read-only
+  ``[n, rows]`` ``int64`` matrices of domain positions (one matrix row
+  per input or output attribute), built column by column through one
+  ``{value: position}`` dict per attribute -- a value missing from that
+  dict is the "outside domain" error -- so projections never rebuild
+  row tuples;
 * the partition of rows by their visible-input projection is computed by
   *incremental refinement* -- the partition for visible inputs
   ``(i1, .., ik)`` refines the cached partition for ``(i1, .., ik-1)`` by
@@ -38,7 +42,7 @@ Kernel sharing and eviction contract
 ------------------------------------
 The caches above live in a :class:`~repro.privacy.kernel_registry.SharedGammaKernel`
 keyed by the relation's *canonical structure* (per-position domain sizes
-plus the row table with every value renamed to its domain index -- see
+plus those two matrices -- see
 :class:`~repro.privacy.kernel_registry.RelationStructure`).  By default
 each relation owns a private, unbounded kernel, so its counters behave
 exactly as documented above.  Constructing the relation with
@@ -62,13 +66,17 @@ attaches it to the registry's shared kernel for its structure instead:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import PrivacyError
 from repro.execution.behaviors import TableBehavior
@@ -139,6 +147,60 @@ class Attribute:
         return self.role == "output"
 
 
+def _position_matrix(
+    attributes: tuple[Attribute, ...], tuples: list[tuple]
+) -> np.ndarray:
+    """The ``[len(attributes), rows]`` matrix of domain positions.
+
+    One C-level pass per column through a ``{value: position}`` dict;
+    a value outside its attribute's domain raises ``KeyError`` (or
+    ``TypeError`` when unhashable).
+    """
+    columns = (
+        map(
+            {value: position for position, value in enumerate(a.domain)}.__getitem__,
+            map(itemgetter(index), tuples),
+        )
+        for index, a in enumerate(attributes)
+    )
+    return np.fromiter(
+        itertools.chain.from_iterable(columns),
+        dtype=np.int64,
+        count=len(attributes) * len(tuples),
+    ).reshape(len(attributes), len(tuples))
+
+
+def _check_rows(
+    inputs: tuple[Attribute, ...], outputs: tuple[Attribute, ...], rows: Mapping
+) -> None:
+    """Raise the first arity or domain violation in row order, if any.
+
+    The slow path behind the columnar construction: a table the fast
+    checks reject is re-scanned row by row, so the error names the same
+    row and value whatever else is wrong with the table.
+    """
+    for key, value in rows.items():
+        key, value = tuple(key), tuple(value)
+        if len(key) != len(inputs):
+            raise PrivacyError(
+                f"row key {key!r} does not match input arity {len(inputs)}"
+            )
+        if len(value) != len(outputs):
+            raise PrivacyError(
+                f"row value {value!r} does not match output arity {len(outputs)}"
+            )
+        for role, attributes, components in (
+            ("input", inputs, key),
+            ("output", outputs, value),
+        ):
+            for attribute, component in zip(attributes, components):
+                if component not in attribute.domain:
+                    raise PrivacyError(
+                        f"value {component!r} outside domain of {role} "
+                        f"{attribute.name!r}"
+                    )
+
+
 class ModuleRelation:
     """The function table of a module over discrete attribute domains."""
 
@@ -163,40 +225,32 @@ class ModuleRelation:
             raise PrivacyError(
                 f"module {module_id!r} has duplicate attribute names: {names!r}"
             )
-        self._rows: dict[tuple, tuple] = {}
-        for key, value in rows.items():
-            key = tuple(key)
-            value = tuple(value)
-            if len(key) != len(self.inputs):
-                raise PrivacyError(
-                    f"row key {key!r} does not match input arity {len(self.inputs)}"
-                )
-            if len(value) != len(self.outputs):
-                raise PrivacyError(
-                    f"row value {value!r} does not match output arity {len(self.outputs)}"
-                )
-            for attribute, component in zip(self.inputs, key):
-                if component not in attribute.domain:
-                    raise PrivacyError(
-                        f"value {component!r} outside domain of input {attribute.name!r}"
-                    )
-            for attribute, component in zip(self.outputs, value):
-                if component not in attribute.domain:
-                    raise PrivacyError(
-                        f"value {component!r} outside domain of output {attribute.name!r}"
-                    )
-            self._rows[key] = value
-        if not self._rows:
-            raise PrivacyError(f"module {module_id!r} has an empty relation")
-        self._build_kernel(registry)
-
-    def _build_kernel(self, registry: GammaKernelRegistry | None) -> None:
-        """Canonicalize the table and attach an evaluation kernel (module doc)."""
-        self._row_keys: tuple[tuple, ...] = tuple(self._rows)
-        self._row_index: dict[tuple, int] = {
-            key: index for index, key in enumerate(self._row_keys)
-        }
-        self._structure = RelationStructure.of(self)
+        keys = list(map(tuple, rows))
+        values = list(map(tuple, rows.values()))
+        try:
+            self._rows: dict[tuple, tuple] = dict(zip(keys, values))
+            if (
+                set(map(len, keys)) - {len(self.inputs)}
+                or set(map(len, values)) - {len(self.outputs)}
+                or len(self._rows) < len(keys)
+            ):
+                # A wrong arity, or equal keys collapsed: the row-by-row
+                # scan reports the first bad row, dropped rows included.
+                _check_rows(self.inputs, self.outputs, rows)
+                keys, values = list(self._rows), list(self._rows.values())
+            if not self._rows:
+                raise PrivacyError(f"module {module_id!r} has an empty relation")
+            input_matrix = _position_matrix(self.inputs, keys)
+            output_matrix = _position_matrix(self.outputs, values)
+        except (KeyError, TypeError):
+            _check_rows(self.inputs, self.outputs, rows)
+            raise
+        self._structure = RelationStructure(
+            tuple(len(a.domain) for a in self.inputs),
+            tuple(len(a.domain) for a in self.outputs),
+            input_matrix,
+            output_matrix,
+        )
         self._kernel_finalizer: weakref.finalize | None = None
         self._stats: dict[str, int] = {
             "gamma_calls": 0,
@@ -215,6 +269,11 @@ class ModuleRelation:
             kernel = SharedGammaKernel(self._structure)
             kernel.attach()
         self._attach_kernel(registry, kernel)
+
+    @functools.cached_property
+    def _row_index(self) -> dict[tuple, int]:
+        """Row position of every input key (built on first use)."""
+        return {key: index for index, key in enumerate(self._rows)}
 
     def _attach_kernel(
         self, registry: GammaKernelRegistry | None, kernel: SharedGammaKernel
@@ -476,7 +535,7 @@ class ModuleRelation:
         partition, counts, _ = self._kernel_entry(*self._visible_indices(hidden_set))
         return {
             key: int(counts[partition[row]])
-            for row, key in enumerate(self._row_keys)
+            for row, key in enumerate(self._rows)
         }
 
     def visible_projection_table(

@@ -22,11 +22,14 @@ On worker start, :meth:`warm_registry` restores every snapshot the shard
 owns, so repeated sweeps skip cold-start entirely: preloaded entries are
 served as cache hits and counted in the kernels' ``preloaded`` counter.
 
-Snapshots are pickles of tuples of ints (plus the structure dataclass);
-they are a local cache directory, not an interchange format -- load only
-directories you wrote.  Payloads are *frozen* to pure tuples on write
-(numpy arrays never reach the pickle) and thawed back to arrays on
-preload.
+Snapshots are pickles of plain data: payloads are *frozen* to pure
+tuples of ints on write and thawed back to arrays on preload, and a
+structure pickles as its domain sizes, matrix shapes and packed ``<i8``
+bytes (:meth:`RelationStructure.__reduce__`), re-hashed on load -- numpy
+objects never reach the pickle.  They are a local cache directory, not
+an interchange format -- load only directories you wrote.  A snapshot of
+another format version is treated like an unreadable one: deleted and
+skipped, so its structure starts cold.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from repro.privacy.kernel_registry import (
 #: Snapshot file suffix (one file per relation structure).
 SNAPSHOT_SUFFIX = ".kernel.pkl"
 
-#: Snapshot format version, bumped on incompatible layout changes.
-SNAPSHOT_VERSION = 1
+#: Snapshot format version, bumped on incompatible layout changes
+#: (2: structures pickle as packed ``<i8`` matrices, not tuple columns).
+SNAPSHOT_VERSION = 2
 
 #: Default in-memory spill buffer bound before flushing to disk (bytes of
 #: accounted entry cost, not pickle size).

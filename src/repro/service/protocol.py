@@ -284,17 +284,14 @@ def _fails_closed(from_wire):
     return decode
 
 
-def columns_to_wire(columns: tuple[tuple[int, ...], ...]) -> list:
-    """Canonical columns as one packed little-endian ``int64`` buffer.
+def columns_to_wire(matrix: np.ndarray) -> list:
+    """A canonical ``<i8`` column matrix as one packed little-endian buffer.
 
     ``[I64_TAG, [n_columns, rows], raw_bytes]`` -- a dtype/shape/raw-bytes
     triple, one bytes object for the whole matrix instead of one object
     per cell.
     """
-    n_columns = len(columns)
-    rows = len(columns[0]) if columns else 0
-    raw = np.asarray(columns, dtype="<i8").reshape(n_columns, rows).tobytes()
-    return [I64_TAG, [n_columns, rows], raw]
+    return [I64_TAG, list(matrix.shape), matrix.tobytes()]
 
 
 @_fails_closed
@@ -350,7 +347,10 @@ def _columns_in_domain(
 
 @_fails_closed
 def structure_from_wire(wire: list) -> RelationStructure:
-    """Rebuild a :class:`RelationStructure` from its wire form."""
+    """Rebuild a :class:`RelationStructure` from its wire form.
+
+    The received buffers become the structure's matrices, uncopied.
+    """
     input_sizes, output_sizes, input_wire, output_wire = wire
     input_sizes, output_sizes = tuple(input_sizes), tuple(output_sizes)
     inputs = _columns_in_domain(input_wire, input_sizes, "input")
@@ -360,12 +360,7 @@ def structure_from_wire(wire: list) -> RelationStructure:
             f"ragged structure: {inputs.shape[1]} input rows, "
             f"{outputs.shape[1]} output rows"
         )
-    return RelationStructure(
-        input_domain_sizes=input_sizes,
-        output_domain_sizes=output_sizes,
-        input_columns=tuple(tuple(row) for row in inputs.tolist()),
-        output_columns=tuple(tuple(row) for row in outputs.tolist()),
-    )
+    return RelationStructure(input_sizes, output_sizes, inputs, outputs)
 
 
 def _structure_under(signature: str, wire: list) -> RelationStructure:
@@ -373,7 +368,9 @@ def _structure_under(signature: str, wire: list) -> RelationStructure:
 
     Receivers store shipped structures by the sender's signature; one
     filed under another structure's signature would answer that
-    structure's later requests with wrong Gammas.
+    structure's later requests with wrong Gammas.  The digest is taken
+    over the received buffers themselves (the structure's matrices view
+    them), so the check costs one hash and no rebuild.
     """
     structure = structure_from_wire(wire)
     if structure.signature != signature:

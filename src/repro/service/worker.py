@@ -23,6 +23,7 @@ coordinator's crash recovery.
 
 from __future__ import annotations
 
+import gc
 import os
 import traceback
 from typing import TYPE_CHECKING
@@ -59,12 +60,13 @@ class ShmAttachments:
 
     Attaching resolves a :class:`ShmTableRef` into a zero-copy
     :class:`~repro.privacy.columnar.NumpyTable` over the published
-    buffer plus the :class:`RelationStructure` rebuilt from it (the
-    registry keys kernels by structure, and the signature is verified
-    against the ref's, so a corrupted segment cannot be silently
-    evaluated).  The segments stay open for the worker's lifetime --
-    the tables view their buffers directly -- and are closed (never
-    unlinked; the coordinator owns the segments) on shutdown.
+    buffer plus a :class:`RelationStructure` over the same read-only
+    matrices (the registry keys kernels by structure, and the signature,
+    hashed from the attached bytes, is verified against the ref's, so a
+    corrupted segment cannot be silently evaluated).  The segments stay
+    open for the worker's lifetime -- the tables and structures view
+    their buffers directly -- and are closed (never unlinked; the
+    coordinator owns the segments) on shutdown.
     """
 
     def __init__(self) -> None:
@@ -95,12 +97,11 @@ class ShmAttachments:
             tuple(ref.input_domain_sizes),
             tuple(ref.output_domain_sizes),
         )
-        input_columns, output_columns = table.column_tuples()
         structure = RelationStructure(
-            input_domain_sizes=tuple(ref.input_domain_sizes),
-            output_domain_sizes=tuple(ref.output_domain_sizes),
-            input_columns=input_columns,
-            output_columns=output_columns,
+            table.input_domain_sizes,
+            table.output_domain_sizes,
+            table.input_matrix,
+            table.output_matrix,
         )
         if structure.signature != ref.signature:
             raise ValueError(
@@ -222,11 +223,12 @@ def serve_shard(
         if message == SHUTDOWN:
             if store is not None:
                 store.snapshot_registry(registry)
-            # Drop the zero-copy table views before detaching from the
-            # segments: mmap.close() raises BufferError while numpy
-            # arrays still export pointers into the buffer.
-            for kernel in kernels.values():
-                kernel.install_table(None)
+            # Drop every zero-copy view (kernel tables and the structures
+            # over the same matrices) before detaching from the segments:
+            # mmap.close() raises BufferError while numpy arrays still
+            # export pointers into the buffer.
+            del registry, store, kernels
+            gc.collect()
             attachments.close()
             result_queue.put((MSG_STOPPED, shard_id))
             return

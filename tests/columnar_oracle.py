@@ -30,8 +30,8 @@ class PureTable:
     """The tuple/dict evaluation primitives (no numpy)."""
 
     def __init__(self, structure: RelationStructure) -> None:
-        self.input_columns = structure.input_columns
-        self.output_columns = structure.output_columns
+        self.input_columns = tuple(map(tuple, structure.input_columns.tolist()))
+        self.output_columns = tuple(map(tuple, structure.output_columns.tolist()))
         self.row_count = structure.row_count
 
     def initial_partition(self) -> tuple[int, ...]:

@@ -229,7 +229,7 @@ class TestSizeAccountingAndEviction:
     def test_negative_budget_rejected(self):
         with pytest.raises(PrivacyError):
             GammaKernelRegistry(budget_bytes=-1)
-        structure = RelationStructure.of(ModuleRelation.random("A", seed=0))
+        structure = ModuleRelation.random("A", seed=0).structure_signature
         with pytest.raises(PrivacyError):
             SharedGammaKernel(structure, budget_bytes=-8)
 
