@@ -1,9 +1,10 @@
 """Setup shim for environments without PEP 660 editable-install support.
 
-numpy powers the columnar Gamma kernel (:mod:`repro.privacy.columnar`)
-and is the one runtime dependency; the library does not import without
-it.
+The library has two runtime dependencies: numpy powers the columnar
+Gamma kernel (:mod:`repro.privacy.columnar`), and networkx runs the graph
+algorithms of structural privacy, soundness checking, repair and
+provenance queries (and backs every ``to_networkx`` export).
 """
 from setuptools import setup
 
-setup(install_requires=["numpy"])
+setup(install_requires=["numpy", "networkx"])

@@ -16,112 +16,74 @@ Provenance-Aware Workflow Systems" (CIDR 2011).  The library provides:
   views and per-group caches;
 * :mod:`repro.experiments` -- the figure and experiment harness.
 
-The most common entry points are re-exported here for convenience.
+The most common entry points are re-exported here for convenience.  The
+re-exports are lazy (:mod:`repro._lazy`): ``import repro`` loads no
+subpackage, and each name imports its defining module on first use.
 """
 
-from repro.errors import (
-    AccessDeniedError,
-    ExecutionError,
-    InfeasiblePrivacyError,
-    PolicyError,
-    PrivacyError,
-    QueryError,
-    ReproError,
-    SpecificationError,
-    StorageError,
-    ViewError,
-    WorkflowError,
-)
-from repro.execution import (
-    BehaviorRegistry,
-    DataItem,
-    ExecutionGraph,
-    WorkflowExecutor,
-    disease_susceptibility_execution,
-    provenance_subgraph,
-    run_disease_susceptibility,
-)
-from repro.privacy import (
-    Attribute,
-    DataPrivacyPolicy,
-    ModuleRelation,
-    PrivacyPolicy,
-    WorkflowPrivacyRequirements,
-    compare_strategies,
-    secure_view,
-    solve_safe_subset,
-)
-from repro.query import (
-    KeywordQuery,
-    PrivacyAwareQueryEngine,
-    TfIdfIndex,
-    keyword_search,
-    parse_query,
-)
-from repro.storage import WorkflowRepository
-from repro.views import (
-    AccessViewPolicy,
-    ExpansionHierarchy,
-    User,
-    execution_view,
-    specification_view,
-)
-from repro.workflow import (
-    Module,
-    ModuleKind,
-    SpecificationBuilder,
-    WorkflowGraph,
-    WorkflowGraphBuilder,
-    WorkflowSpecification,
-    disease_susceptibility_specification,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessDeniedError",
-    "AccessViewPolicy",
-    "Attribute",
-    "BehaviorRegistry",
-    "DataItem",
-    "DataPrivacyPolicy",
-    "ExecutionError",
-    "ExecutionGraph",
-    "ExpansionHierarchy",
-    "InfeasiblePrivacyError",
-    "KeywordQuery",
-    "Module",
-    "ModuleKind",
-    "ModuleRelation",
-    "PolicyError",
-    "PrivacyAwareQueryEngine",
-    "PrivacyError",
-    "PrivacyPolicy",
-    "QueryError",
-    "ReproError",
-    "SpecificationBuilder",
-    "SpecificationError",
-    "StorageError",
-    "TfIdfIndex",
-    "User",
-    "ViewError",
-    "WorkflowError",
-    "WorkflowExecutor",
-    "WorkflowGraph",
-    "WorkflowGraphBuilder",
-    "WorkflowPrivacyRequirements",
-    "WorkflowRepository",
-    "WorkflowSpecification",
-    "__version__",
-    "compare_strategies",
-    "disease_susceptibility_execution",
-    "disease_susceptibility_specification",
-    "execution_view",
-    "keyword_search",
-    "parse_query",
-    "provenance_subgraph",
-    "run_disease_susceptibility",
-    "secure_view",
-    "solve_safe_subset",
-    "specification_view",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "errors": (
+            "AccessDeniedError",
+            "ExecutionError",
+            "InfeasiblePrivacyError",
+            "PolicyError",
+            "PrivacyError",
+            "QueryError",
+            "ReproError",
+            "SpecificationError",
+            "StorageError",
+            "ViewError",
+            "WorkflowError",
+        ),
+        "execution": (
+            "BehaviorRegistry",
+            "DataItem",
+            "ExecutionGraph",
+            "WorkflowExecutor",
+            "disease_susceptibility_execution",
+            "provenance_subgraph",
+            "run_disease_susceptibility",
+        ),
+        "privacy": (
+            "Attribute",
+            "DataPrivacyPolicy",
+            "ModuleRelation",
+            "PrivacyPolicy",
+            "WorkflowPrivacyRequirements",
+            "compare_strategies",
+            "secure_view",
+            "solve_safe_subset",
+        ),
+        "query": (
+            "KeywordQuery",
+            "PrivacyAwareQueryEngine",
+            "TfIdfIndex",
+            "keyword_search",
+            "parse_query",
+        ),
+        "storage": ("WorkflowRepository",),
+        "views": (
+            "AccessViewPolicy",
+            "ExpansionHierarchy",
+            "User",
+            "execution_view",
+            "specification_view",
+        ),
+        "workflow": (
+            "Module",
+            "ModuleKind",
+            "SpecificationBuilder",
+            "WorkflowGraph",
+            "WorkflowGraphBuilder",
+            "WorkflowSpecification",
+            "disease_susceptibility_specification",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -1,25 +1,21 @@
 """Adversary simulations used to validate privacy guarantees empirically."""
 
-from repro.adversary.module_attack import (
-    AttackReport,
-    CandidateSet,
-    ModuleFunctionAttack,
-    attack_curve,
-)
-from repro.adversary.structure_attack import (
-    StructureAttackReport,
-    attack_after_edge_deletion,
-    infer_reachability,
-    structure_attack,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttackReport",
-    "CandidateSet",
-    "ModuleFunctionAttack",
-    "StructureAttackReport",
-    "attack_after_edge_deletion",
-    "attack_curve",
-    "infer_reachability",
-    "structure_attack",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "module_attack": (
+            "AttackReport",
+            "CandidateSet",
+            "ModuleFunctionAttack",
+            "attack_curve",
+        ),
+        "structure_attack": (
+            "StructureAttackReport",
+            "attack_after_edge_deletion",
+            "infer_reachability",
+            "structure_attack",
+        ),
+    },
+)

@@ -21,24 +21,25 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import signal
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import __version__
 from repro.errors import ReproError
-from repro.execution.gallery import disease_susceptibility_execution
-from repro.experiments import ALL_EXPERIMENTS, ALL_HEADLINES, reproduce_all_figures
-from repro.experiments.reporting import format_table
-from repro.privacy.policy import PrivacyPolicy
-from repro.query.repository_engine import RepositoryQueryEngine
-from repro.storage.repository import WorkflowRepository
-from repro.views.access import ANALYST, OWNER, PUBLIC, User
-from repro.workflow.gallery import disease_susceptibility_specification
-from repro.workflow.serialization import specification_from_json
+
+if TYPE_CHECKING:
+    from repro.storage.repository import WorkflowRepository
 
 
 def build_demo_repository() -> WorkflowRepository:
     """The repository used by the ``search`` and ``info`` subcommands."""
+    from repro.execution.gallery import disease_susceptibility_execution
+    from repro.privacy.policy import PrivacyPolicy
+    from repro.storage.repository import WorkflowRepository
+    from repro.views.access import ANALYST, OWNER, PUBLIC
+    from repro.workflow.gallery import disease_susceptibility_specification
+
     specification = disease_susceptibility_specification()
     policy = PrivacyPolicy(specification)
     policy.set_access_view(PUBLIC, {"W1"})
@@ -53,6 +54,8 @@ def build_demo_repository() -> WorkflowRepository:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import reproduce_all_figures
+
     artifacts = reproduce_all_figures()
     failures = 0
     for figure_id in sorted(artifacts):
@@ -72,6 +75,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _experiment_span() -> str:
     """The experiment id range, derived from the registry (e.g. ``E1-E12``)."""
+    from repro.experiments import ALL_EXPERIMENTS
+
     ids = sorted(ALL_EXPERIMENTS, key=lambda name: int(name.lstrip("E")))
     if len(ids) == 1:
         return ids[0]
@@ -79,6 +84,9 @@ def _experiment_span() -> str:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import ALL_EXPERIMENTS, ALL_HEADLINES
+    from repro.experiments.reporting import format_table
+
     experiment_id = args.experiment_id.upper()
     if experiment_id not in ALL_EXPERIMENTS:
         print(
@@ -131,9 +139,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.query.repository_engine import RepositoryQueryEngine
+    from repro.views.access import ANALYST, User
+
     repository = build_demo_repository()
     engine = RepositoryQueryEngine(repository)
-    user = User("cli-user", level=args.level)
+    level = ANALYST if args.level is None else args.level
+    user = User("cli-user", level=level)
     outcome = engine.search(user, args.query)
     print(f"query kind: {outcome.kind}; hits: {outcome.hits}")
     for answer in outcome.answers:
@@ -152,6 +164,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.workflow.serialization import specification_from_json
+
     try:
         with open(args.path, "r", encoding="utf8") as handle:
             text = handle.read()
@@ -164,6 +178,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"{len(specification.module_ids())} modules"
     )
     return 0
+
+
+def _interrupt(signum: int, frame: object) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -201,11 +219,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"gamma server listening on {server.address} "
           f"(workers={args.workers}, snapshot_dir={args.snapshot_dir}, "
           f"security={security})")
+    # SIGTERM (kill, supervisors, container stop) takes the same orderly
+    # path as Ctrl-C: close() snapshots warm kernels and unlinks the socket.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+    except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.close()
     return 0
 
@@ -408,8 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--level",
         type=int,
-        default=ANALYST,
-        help="access level of the querying user (0=public, 1=analyst, 2=owner)",
+        default=None,
+        help=(
+            "access level of the querying user (0=public, 1=analyst, "
+            "2=owner; default analyst)"
+        ),
     )
     search.set_defaults(handler=_cmd_search)
 

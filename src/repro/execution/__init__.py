@@ -1,60 +1,40 @@
 """Execution engine, provenance graphs and provenance queries."""
 
-from repro.execution.behaviors import (
-    Behavior,
-    BehaviorRegistry,
-    TableBehavior,
-    constant_behavior,
-    hashing_behavior,
-    passthrough_behavior,
-)
-from repro.execution.dataitem import DataItem, data_id_sequence
-from repro.execution.engine import WorkflowExecutor
-from repro.execution.gallery import (
-    DEFAULT_PATIENT_INPUTS,
-    disease_susceptibility_execution,
-    run_disease_susceptibility,
-)
-from repro.execution.graph import (
-    ExecutionEdge,
-    ExecutionGraph,
-    ExecutionNode,
-    NodeEvent,
-)
-from repro.execution.provenance import (
-    contributing_data,
-    contributing_modules,
-    data_dependency_graph,
-    downstream_data,
-    downstream_nodes,
-    execution_summary,
-    lineage_depth,
-    provenance_subgraph,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Behavior",
-    "BehaviorRegistry",
-    "DEFAULT_PATIENT_INPUTS",
-    "DataItem",
-    "ExecutionEdge",
-    "ExecutionGraph",
-    "ExecutionNode",
-    "NodeEvent",
-    "TableBehavior",
-    "WorkflowExecutor",
-    "constant_behavior",
-    "contributing_data",
-    "contributing_modules",
-    "data_dependency_graph",
-    "data_id_sequence",
-    "disease_susceptibility_execution",
-    "downstream_data",
-    "downstream_nodes",
-    "execution_summary",
-    "hashing_behavior",
-    "lineage_depth",
-    "passthrough_behavior",
-    "provenance_subgraph",
-    "run_disease_susceptibility",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "behaviors": (
+            "Behavior",
+            "BehaviorRegistry",
+            "TableBehavior",
+            "constant_behavior",
+            "hashing_behavior",
+            "passthrough_behavior",
+        ),
+        "dataitem": ("DataItem", "data_id_sequence"),
+        "engine": ("WorkflowExecutor",),
+        "gallery": (
+            "DEFAULT_PATIENT_INPUTS",
+            "disease_susceptibility_execution",
+            "run_disease_susceptibility",
+        ),
+        "graph": (
+            "ExecutionEdge",
+            "ExecutionGraph",
+            "ExecutionNode",
+            "NodeEvent",
+        ),
+        "provenance": (
+            "contributing_data",
+            "contributing_modules",
+            "data_dependency_graph",
+            "downstream_data",
+            "downstream_nodes",
+            "execution_summary",
+            "lineage_depth",
+            "provenance_subgraph",
+        ),
+    },
+)

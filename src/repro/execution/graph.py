@@ -11,12 +11,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import CycleError, DataItemError, ExecutionError
 from repro.execution.dataitem import DataItem
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class NodeEvent(str, Enum):
@@ -354,6 +355,8 @@ class ExecutionGraph:
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.DiGraph:
         """Export the execution as a :class:`networkx.DiGraph`."""
+        import networkx as nx
+
         graph = nx.DiGraph(
             execution_id=self.execution_id, specification_id=self.specification_id
         )

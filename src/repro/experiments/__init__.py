@@ -1,87 +1,102 @@
 """Experiment and figure harness.
 
 ``reproduce_all_figures`` rebuilds every figure of the paper;
-``ALL_EXPERIMENTS`` maps experiment ids (E1-E12) to their ``run`` functions;
+``ALL_EXPERIMENTS`` maps experiment ids (E1-E12) to their ``run`` functions,
+importing an experiment's module only when it is looked up;
 ``run_experiment`` dispatches by id.  Each experiment module also exposes a
 ``headline`` function producing the aggregate numbers quoted in
 ``EXPERIMENTS.md`` and a ``main`` entry point that prints the full table.
 """
 
-from repro.experiments import (
-    e1_module_privacy,
-    e2_adversary,
-    e3_structural,
-    e4_tradeoff,
-    e5_keyword,
-    e6_storage,
-    e7_index,
-    e8_ranking,
-    e9_sharding,
-    e10_transport,
-    e11_federation,
-    e12_approx,
-)
-from repro.experiments.figures import (
-    FIG5_QUERY,
-    FigureArtifact,
-    fig1_specification,
-    fig2_execution_view,
-    fig3_hierarchy,
-    fig4_execution,
-    fig5_keyword_answer,
-    figure_checks,
-    reproduce_all_figures,
-)
-from repro.experiments.reporting import (
-    ResultTable,
-    format_table,
-    print_table,
-    select_columns,
-    summarize_numeric,
-    table_columns,
-)
-from repro.experiments.workloads import (
-    CorpusConfig,
-    build_corpus,
-    build_repository,
-    default_access_policy,
-    keyword_workload,
-    random_relations,
-    random_structural_targets,
-    scaled_structure,
-)
+from __future__ import annotations
 
-#: All experiments keyed by their id in DESIGN.md / EXPERIMENTS.md.
-ALL_EXPERIMENTS = {
-    "E1": e1_module_privacy.run,
-    "E2": e2_adversary.run,
-    "E3": e3_structural.run,
-    "E4": e4_tradeoff.run,
-    "E5": e5_keyword.run,
-    "E6": e6_storage.run,
-    "E7": e7_index.run,
-    "E8": e8_ranking.run,
-    "E9": e9_sharding.run,
-    "E10": e10_transport.run,
-    "E11": e11_federation.run,
-    "E12": e12_approx.run,
+from collections.abc import Mapping
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.reporting import ResultTable
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "figures": (
+            "FIG5_QUERY",
+            "FigureArtifact",
+            "fig1_specification",
+            "fig2_execution_view",
+            "fig3_hierarchy",
+            "fig4_execution",
+            "fig5_keyword_answer",
+            "figure_checks",
+            "reproduce_all_figures",
+        ),
+        "reporting": (
+            "ResultTable",
+            "format_table",
+            "print_table",
+            "select_columns",
+            "summarize_numeric",
+            "table_columns",
+        ),
+        "workloads": (
+            "CorpusConfig",
+            "build_corpus",
+            "build_repository",
+            "default_access_policy",
+            "keyword_workload",
+            "random_relations",
+            "random_structural_targets",
+            "scaled_structure",
+        ),
+    },
+)
+__all__ += ["ALL_EXPERIMENTS", "ALL_HEADLINES", "run_experiment"]
+
+#: The module of each experiment, keyed by its id in DESIGN.md / EXPERIMENTS.md.
+_MODULES = {
+    "E1": "e1_module_privacy",
+    "E2": "e2_adversary",
+    "E3": "e3_structural",
+    "E4": "e4_tradeoff",
+    "E5": "e5_keyword",
+    "E6": "e6_storage",
+    "E7": "e7_index",
+    "E8": "e8_ranking",
+    "E9": "e9_sharding",
+    "E10": "e10_transport",
+    "E11": "e11_federation",
+    "E12": "e12_approx",
 }
+
+
+class _Registry(Mapping):
+    """Experiment id -> one function of its module, imported on lookup."""
+
+    def __init__(self, function: str) -> None:
+        self._function = function
+
+    def __getitem__(self, experiment_id: str):
+        module = import_module(f"{__name__}.{_MODULES[experiment_id]}")
+        return getattr(module, self._function)
+
+    def __contains__(self, experiment_id: object) -> bool:
+        return experiment_id in _MODULES
+
+    def __iter__(self):
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+
+#: All experiments' ``run`` functions keyed by experiment id.
+ALL_EXPERIMENTS = _Registry("run")
 
 #: Headline aggregators keyed by experiment id.
-ALL_HEADLINES = {
-    "E1": e1_module_privacy.headline,
-    "E2": e2_adversary.headline,
-    "E3": e3_structural.headline,
-    "E4": e4_tradeoff.headline,
-    "E5": e5_keyword.headline,
-    "E6": e6_storage.headline,
-    "E7": e7_index.headline,
-    "E8": e8_ranking.headline,
-    "E9": e9_sharding.headline,
-    "E10": e10_transport.headline,
-    "E11": e11_federation.headline,
-    "E12": e12_approx.headline,
-}
+ALL_HEADLINES = _Registry("headline")
 
 
 def run_experiment(experiment_id: str) -> ResultTable:
@@ -94,33 +109,3 @@ def run_experiment(experiment_id: str) -> ResultTable:
             f"{sorted(ALL_EXPERIMENTS)}"
         ) from None
     return runner()
-
-
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ALL_HEADLINES",
-    "CorpusConfig",
-    "FIG5_QUERY",
-    "FigureArtifact",
-    "ResultTable",
-    "build_corpus",
-    "build_repository",
-    "default_access_policy",
-    "fig1_specification",
-    "fig2_execution_view",
-    "fig3_hierarchy",
-    "fig4_execution",
-    "fig5_keyword_answer",
-    "figure_checks",
-    "format_table",
-    "keyword_workload",
-    "print_table",
-    "random_relations",
-    "random_structural_targets",
-    "reproduce_all_figures",
-    "run_experiment",
-    "scaled_structure",
-    "select_columns",
-    "summarize_numeric",
-    "table_columns",
-]

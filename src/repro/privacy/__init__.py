@@ -1,131 +1,79 @@
 """Privacy mechanisms: data, module and structural privacy (the paper's core)."""
 
-from repro.privacy.data_privacy import (
-    REDACTED,
-    DataPrivacyPolicy,
-    DataPrivacyRule,
-    generalize_collection,
-    generalize_number,
-    generalize_text,
-    policy_from_levels,
-    redact,
-)
-from repro.privacy.leakage import (
-    LeakageReport,
-    close_hiding,
-    exposed_items,
-    forward_derivable_labels,
-    leakage_report,
-)
-from repro.privacy.kernel_registry import (
-    GammaKernelRegistry,
-    RelationStructure,
-    SharedGammaKernel,
-)
-from repro.privacy.guarantees import (
-    GuaranteeReport,
-    empirical_guarantee,
-    guarantee_curve,
-    standalone_guarantee_holds,
-    workflow_guarantees,
-)
-from repro.privacy.module_privacy import (
-    SOLVERS,
-    SafeSubsetResult,
-    exact_safe_subset,
-    greedy_safe_subset,
-    randomized_safe_subset,
-    solve_safe_subset,
-)
-from repro.privacy.policy import PrivacyPolicy, StructuralTarget
-from repro.privacy.relations import Attribute, ModuleRelation
-from repro.privacy.structural_privacy import (
-    STRATEGIES,
-    StructuralPrivacyResult,
-    clustering_for_pairs,
-    clustering_strategy,
-    compare_strategies,
-    edge_deletion_strategy,
-    grown_clustering_strategy,
-    minimum_edge_deletion,
-    repaired_clustering_strategy,
-)
-from repro.privacy.tradeoff import (
-    GammaCostPoint,
-    TradeoffPoint,
-    best_view_under_privacy,
-    gamma_cost_frontier,
-    pareto_front,
-    tradeoff_points,
-    view_privacy,
-    view_utility,
-)
-from repro.privacy.workflow_privacy import (
-    ModulePrivacyRequirement,
-    SecureViewResult,
-    WorkflowPrivacyRequirements,
-    apply_secure_view,
-    exact_secure_view,
-    greedy_secure_view,
-    hidden_items_for_execution,
-    secure_view,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Attribute",
-    "DataPrivacyPolicy",
-    "DataPrivacyRule",
-    "GammaCostPoint",
-    "GammaKernelRegistry",
-    "GuaranteeReport",
-    "LeakageReport",
-    "ModulePrivacyRequirement",
-    "ModuleRelation",
-    "PrivacyPolicy",
-    "REDACTED",
-    "RelationStructure",
-    "SOLVERS",
-    "STRATEGIES",
-    "SafeSubsetResult",
-    "SecureViewResult",
-    "SharedGammaKernel",
-    "StructuralPrivacyResult",
-    "StructuralTarget",
-    "TradeoffPoint",
-    "WorkflowPrivacyRequirements",
-    "apply_secure_view",
-    "best_view_under_privacy",
-    "close_hiding",
-    "clustering_for_pairs",
-    "clustering_strategy",
-    "compare_strategies",
-    "exposed_items",
-    "forward_derivable_labels",
-    "gamma_cost_frontier",
-    "leakage_report",
-    "edge_deletion_strategy",
-    "empirical_guarantee",
-    "exact_safe_subset",
-    "exact_secure_view",
-    "generalize_collection",
-    "generalize_number",
-    "generalize_text",
-    "greedy_safe_subset",
-    "greedy_secure_view",
-    "grown_clustering_strategy",
-    "guarantee_curve",
-    "hidden_items_for_execution",
-    "minimum_edge_deletion",
-    "pareto_front",
-    "policy_from_levels",
-    "randomized_safe_subset",
-    "redact",
-    "repaired_clustering_strategy",
-    "secure_view",
-    "solve_safe_subset",
-    "standalone_guarantee_holds",
-    "tradeoff_points",
-    "view_privacy",
-    "view_utility",
-    "workflow_guarantees",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "data_privacy": (
+            "REDACTED",
+            "DataPrivacyPolicy",
+            "DataPrivacyRule",
+            "generalize_collection",
+            "generalize_number",
+            "generalize_text",
+            "policy_from_levels",
+            "redact",
+        ),
+        "leakage": (
+            "LeakageReport",
+            "close_hiding",
+            "exposed_items",
+            "forward_derivable_labels",
+            "leakage_report",
+        ),
+        "kernel_registry": (
+            "GammaKernelRegistry",
+            "RelationStructure",
+            "SharedGammaKernel",
+        ),
+        "guarantees": (
+            "GuaranteeReport",
+            "empirical_guarantee",
+            "guarantee_curve",
+            "standalone_guarantee_holds",
+            "workflow_guarantees",
+        ),
+        "module_privacy": (
+            "SOLVERS",
+            "SafeSubsetResult",
+            "exact_safe_subset",
+            "greedy_safe_subset",
+            "randomized_safe_subset",
+            "solve_safe_subset",
+        ),
+        "policy": ("PrivacyPolicy", "StructuralTarget"),
+        "relations": ("Attribute", "ModuleRelation"),
+        "structural_privacy": (
+            "STRATEGIES",
+            "StructuralPrivacyResult",
+            "clustering_for_pairs",
+            "clustering_strategy",
+            "compare_strategies",
+            "edge_deletion_strategy",
+            "grown_clustering_strategy",
+            "minimum_edge_deletion",
+            "repaired_clustering_strategy",
+        ),
+        "tradeoff": (
+            "GammaCostPoint",
+            "TradeoffPoint",
+            "best_view_under_privacy",
+            "gamma_cost_frontier",
+            "pareto_front",
+            "tradeoff_points",
+            "view_privacy",
+            "view_utility",
+        ),
+        "workflow_privacy": (
+            "ModulePrivacyRequirement",
+            "SecureViewResult",
+            "WorkflowPrivacyRequirements",
+            "apply_secure_view",
+            "exact_secure_view",
+            "greedy_secure_view",
+            "hidden_items_for_execution",
+            "secure_view",
+        ),
+    },
+)

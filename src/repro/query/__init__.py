@@ -1,96 +1,60 @@
 """Keyword and structural query processing, ranking and privacy-aware evaluation."""
 
-from repro.query.keyword import (
-    KeywordAnswer,
-    KeywordQuery,
-    deepest_matches,
-    keyword_search,
-    keyword_search_corpus,
-    matching_modules,
-    module_descendants,
-    module_search_terms,
-)
-from repro.query.language import (
-    BeforeQuery,
-    ModuleProvenanceQuery,
-    ParsedQuery,
-    ProvenanceQuery,
-    parse_query,
-)
-from repro.query.privacy_aware import PrivacyAwareQueryEngine, QueryResult
-from repro.query.repository_engine import (
-    RankedAnswer,
-    RepositoryOutcome,
-    RepositoryQueryEngine,
-)
-from repro.query.ranking import (
-    TfIdfIndex,
-    bucketize_scores,
-    frequency_inference_error,
-    infer_term_counts,
-    kendall_tau,
-    privacy_aware_rank,
-    ranking_quality,
-)
-from repro.query.structural import (
-    PathQuery,
-    StructuralMatch,
-    data_produced_by,
-    executed_before,
-    find_executions_where,
-    module_for_name,
-    path_query_matches,
-    provenance_of_data,
-    provenance_of_module,
-)
-from repro.query.text import (
-    normalized_tokens,
-    parse_phrases,
-    phrase_matches,
-    stem,
-    term_set,
-    tokenize,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BeforeQuery",
-    "KeywordAnswer",
-    "KeywordQuery",
-    "ModuleProvenanceQuery",
-    "ParsedQuery",
-    "PathQuery",
-    "PrivacyAwareQueryEngine",
-    "ProvenanceQuery",
-    "QueryResult",
-    "RankedAnswer",
-    "RepositoryOutcome",
-    "RepositoryQueryEngine",
-    "StructuralMatch",
-    "TfIdfIndex",
-    "bucketize_scores",
-    "data_produced_by",
-    "deepest_matches",
-    "executed_before",
-    "find_executions_where",
-    "frequency_inference_error",
-    "infer_term_counts",
-    "kendall_tau",
-    "keyword_search",
-    "keyword_search_corpus",
-    "matching_modules",
-    "module_descendants",
-    "module_for_name",
-    "module_search_terms",
-    "normalized_tokens",
-    "parse_phrases",
-    "parse_query",
-    "path_query_matches",
-    "phrase_matches",
-    "privacy_aware_rank",
-    "provenance_of_data",
-    "provenance_of_module",
-    "ranking_quality",
-    "stem",
-    "term_set",
-    "tokenize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "keyword": (
+            "KeywordAnswer",
+            "KeywordQuery",
+            "deepest_matches",
+            "keyword_search",
+            "keyword_search_corpus",
+            "matching_modules",
+            "module_descendants",
+            "module_search_terms",
+        ),
+        "language": (
+            "BeforeQuery",
+            "ModuleProvenanceQuery",
+            "ParsedQuery",
+            "ProvenanceQuery",
+            "parse_query",
+        ),
+        "privacy_aware": ("PrivacyAwareQueryEngine", "QueryResult"),
+        "repository_engine": (
+            "RankedAnswer",
+            "RepositoryOutcome",
+            "RepositoryQueryEngine",
+        ),
+        "ranking": (
+            "TfIdfIndex",
+            "bucketize_scores",
+            "frequency_inference_error",
+            "infer_term_counts",
+            "kendall_tau",
+            "privacy_aware_rank",
+            "ranking_quality",
+        ),
+        "structural": (
+            "PathQuery",
+            "StructuralMatch",
+            "data_produced_by",
+            "executed_before",
+            "find_executions_where",
+            "module_for_name",
+            "path_query_matches",
+            "provenance_of_data",
+            "provenance_of_module",
+        ),
+        "text": (
+            "normalized_tokens",
+            "parse_phrases",
+            "phrase_matches",
+            "stem",
+            "term_set",
+            "tokenize",
+        ),
+    },
+)

@@ -29,65 +29,42 @@ byte-identical results (``tests/test_transport_conformance.py`` holds
 all of them to one conformance matrix).
 """
 
-from repro.service.coordinator import GammaRequest, ShardCoordinator
-from repro.service.persistence import KernelSnapshotStore
-from repro.service.pool import PooledTransport
-from repro.service.protocol import (
-    WANT_ENTRY,
-    WANT_GAMMA,
-    GammaBatch,
-    GammaTask,
-    ShardReport,
-    TaskResult,
-    merge_kernel_stats,
-    shard_of,
-)
-from repro.service.ring import HashRing
-from repro.service.security import (
-    PolicyTable,
-    TenantPolicy,
-    build_client_ssl_context,
-    build_server_ssl_context,
-    generate_self_signed_cert,
-)
-from repro.service.server import GammaServer
-from repro.service.transport import (
-    ExponentialBackoff,
-    InProcessTransport,
-    MultiprocessTransport,
-    SocketTransport,
-    Transport,
-    build_transport,
-    parse_address,
-    probe_endpoint,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExponentialBackoff",
-    "GammaBatch",
-    "HashRing",
-    "GammaRequest",
-    "GammaServer",
-    "GammaTask",
-    "InProcessTransport",
-    "KernelSnapshotStore",
-    "MultiprocessTransport",
-    "PolicyTable",
-    "PooledTransport",
-    "ShardCoordinator",
-    "ShardReport",
-    "SocketTransport",
-    "TaskResult",
-    "TenantPolicy",
-    "Transport",
-    "WANT_ENTRY",
-    "WANT_GAMMA",
-    "build_client_ssl_context",
-    "build_server_ssl_context",
-    "build_transport",
-    "generate_self_signed_cert",
-    "merge_kernel_stats",
-    "parse_address",
-    "probe_endpoint",
-    "shard_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "coordinator": ("GammaRequest", "ShardCoordinator"),
+        "persistence": ("KernelSnapshotStore",),
+        "pool": ("PooledTransport",),
+        "protocol": (
+            "WANT_ENTRY",
+            "WANT_GAMMA",
+            "GammaBatch",
+            "GammaTask",
+            "ShardReport",
+            "TaskResult",
+            "merge_kernel_stats",
+            "shard_of",
+        ),
+        "ring": ("HashRing",),
+        "security": (
+            "PolicyTable",
+            "TenantPolicy",
+            "build_client_ssl_context",
+            "build_server_ssl_context",
+            "generate_self_signed_cert",
+        ),
+        "server": ("GammaServer",),
+        "transport": (
+            "ExponentialBackoff",
+            "InProcessTransport",
+            "MultiprocessTransport",
+            "SocketTransport",
+            "Transport",
+            "build_transport",
+            "parse_address",
+            "probe_endpoint",
+        ),
+    },
+)

@@ -1,23 +1,18 @@
 """Repository, per-level indexes, materialised views and group caches."""
 
-from repro.storage.cache import CacheStats, GroupQueryCache
-from repro.storage.index import (
-    KeywordIndex,
-    LeveledKeywordIndex,
-    Posting,
-    ReachabilityIndex,
-)
-from repro.storage.materialized import MaterializedViewStore
-from repro.storage.repository import RepositoryEntry, WorkflowRepository
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "GroupQueryCache",
-    "KeywordIndex",
-    "LeveledKeywordIndex",
-    "MaterializedViewStore",
-    "Posting",
-    "ReachabilityIndex",
-    "RepositoryEntry",
-    "WorkflowRepository",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CacheStats", "GroupQueryCache"),
+        "index": (
+            "KeywordIndex",
+            "LeveledKeywordIndex",
+            "Posting",
+            "ReachabilityIndex",
+        ),
+        "materialized": ("MaterializedViewStore",),
+        "repository": ("RepositoryEntry", "WorkflowRepository"),
+    },
+)

@@ -1,87 +1,54 @@
 """Views of specifications and executions, access views, soundness, repair."""
 
-from repro.views.access import (
-    ANALYST,
-    OWNER,
-    PUBLIC,
-    AccessViewPolicy,
-    User,
-    UserRegistry,
-)
-from repro.views.exec_view import (
-    ExecutionView,
-    collapse_execution,
-    execution_view,
-    hidden_data_ids,
-)
-from repro.views.hierarchy import ExpansionHierarchy, Prefix
-from repro.views.optimize import (
-    best_prefix,
-    default_utility,
-    greedy_prefix,
-    maximal_prefix_hiding_modules,
-    minimal_prefix_for_modules,
-    minimal_view_containing,
-    prefixes_hiding_modules,
-    view_utility_profile,
-)
-from repro.views.repair import repair_clustering, repair_preserving_pairs
-from repro.views.soundness import (
-    SoundnessReport,
-    actual_node_pairs,
-    cluster_entries_and_exits,
-    cluster_view_graph,
-    implied_node_pairs,
-    is_sound_clustering,
-    normalize_clustering,
-    soundness_report,
-    unsound_clusters,
-)
-from repro.views.spec_view import (
-    SpecificationView,
-    all_views,
-    expand_specification,
-    full_expansion,
-    root_view,
-    specification_view,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ANALYST",
-    "AccessViewPolicy",
-    "ExecutionView",
-    "ExpansionHierarchy",
-    "OWNER",
-    "PUBLIC",
-    "Prefix",
-    "SoundnessReport",
-    "SpecificationView",
-    "User",
-    "UserRegistry",
-    "actual_node_pairs",
-    "all_views",
-    "best_prefix",
-    "cluster_entries_and_exits",
-    "cluster_view_graph",
-    "collapse_execution",
-    "default_utility",
-    "execution_view",
-    "expand_specification",
-    "full_expansion",
-    "greedy_prefix",
-    "hidden_data_ids",
-    "implied_node_pairs",
-    "is_sound_clustering",
-    "maximal_prefix_hiding_modules",
-    "minimal_prefix_for_modules",
-    "minimal_view_containing",
-    "normalize_clustering",
-    "prefixes_hiding_modules",
-    "repair_clustering",
-    "repair_preserving_pairs",
-    "root_view",
-    "soundness_report",
-    "specification_view",
-    "unsound_clusters",
-    "view_utility_profile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "access": (
+            "ANALYST",
+            "OWNER",
+            "PUBLIC",
+            "AccessViewPolicy",
+            "User",
+            "UserRegistry",
+        ),
+        "exec_view": (
+            "ExecutionView",
+            "collapse_execution",
+            "execution_view",
+            "hidden_data_ids",
+        ),
+        "hierarchy": ("ExpansionHierarchy", "Prefix"),
+        "optimize": (
+            "best_prefix",
+            "default_utility",
+            "greedy_prefix",
+            "maximal_prefix_hiding_modules",
+            "minimal_prefix_for_modules",
+            "minimal_view_containing",
+            "prefixes_hiding_modules",
+            "view_utility_profile",
+        ),
+        "repair": ("repair_clustering", "repair_preserving_pairs"),
+        "soundness": (
+            "SoundnessReport",
+            "actual_node_pairs",
+            "cluster_entries_and_exits",
+            "cluster_view_graph",
+            "implied_node_pairs",
+            "is_sound_clustering",
+            "normalize_clustering",
+            "soundness_report",
+            "unsound_clusters",
+        ),
+        "spec_view": (
+            "SpecificationView",
+            "all_views",
+            "expand_specification",
+            "full_expansion",
+            "root_view",
+            "specification_view",
+        ),
+    },
+)

@@ -9,12 +9,13 @@ expanded, all others stay collapsed.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import InvalidPrefixError, UnknownWorkflowError
 from repro.workflow.specification import WorkflowSpecification
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Prefix = frozenset[str]
 
@@ -219,6 +220,8 @@ class ExpansionHierarchy:
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.DiGraph:
         """The expansion tree as a directed graph (parent -> child)."""
+        import networkx as nx
+
         graph = nx.DiGraph(root=self.root_id)
         for workflow_id, children in self._children.items():
             graph.add_node(workflow_id)

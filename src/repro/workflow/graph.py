@@ -10,9 +10,7 @@ paper's Fig. 1) or the definition of a composite module (``W2``-``W4``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import (
     CycleError,
@@ -22,6 +20,9 @@ from repro.errors import (
     UnknownModuleError,
 )
 from repro.workflow.module import DataEdge, Module, ModuleKind
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class WorkflowGraph:
@@ -325,6 +326,8 @@ class WorkflowGraph:
         Node attributes carry the module name/kind/keywords; edge attributes
         carry the data labels.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(workflow_id=self.workflow_id, name=self.name)
         for module in self._modules.values():
             graph.add_node(

@@ -16,9 +16,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +34,11 @@ from repro.errors import ServiceError, WorkerCrashError
 from repro.experiments import e10_transport
 from repro.privacy.kernel_registry import GammaKernelRegistry, RelationStructure
 from repro.privacy.relations import ModuleRelation
-from repro.privacy.workflow_privacy import exact_secure_view, secure_view
+from repro.privacy.workflow_privacy import (
+    WorkflowPrivacyRequirements,
+    exact_secure_view,
+    secure_view,
+)
 from repro.service import (
     GammaServer,
     KernelSnapshotStore,
@@ -417,6 +426,51 @@ class TestSocketServer:
         with GammaServer(("unix", path), structure_cache_size=1) as server:
             with ShardCoordinator(address=server.address, task_timeout=20.0) as client:
                 assert client.gammas(requests) == baseline
+
+    def test_cli_serve_sigterm_snapshots_and_unlinks(self, tmp_path):
+        # SIGTERM (kill, supervisors, container stop) must take the same
+        # orderly close as Ctrl-C: exit 0, warm kernels snapshotted, the
+        # unix socket file removed.
+        path = tmp_path / "serve.sock"
+        snapshots = tmp_path / "snapshots"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--unix", str(path),
+             "--snapshot-dir", str(snapshots)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not path.exists():
+                assert server.poll() is None, server.stderr.read().decode()
+                assert time.monotonic() < deadline, "server never listened"
+                time.sleep(0.05)
+            requirements = WorkflowPrivacyRequirements()
+            for index in range(2):
+                requirements.add(
+                    ModuleRelation.random(f"T{index}", n_inputs=2, n_outputs=2,
+                                          seed=120 + index),
+                    2,
+                )
+            with ShardCoordinator(address=("unix", str(path))) as client:
+                served = exact_secure_view(requirements, service=client)
+            assert served.hidden_labels == exact_secure_view(requirements).hidden_labels
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=60.0) == 0, server.stderr.read().decode()
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stderr.close()
+        assert not path.exists()
+        assert set(KernelSnapshotStore(snapshots).signatures()) == {
+            module.relation.structure_signature.signature
+            for module in requirements.requirements
+        }
 
     def test_server_rejects_empty_structure_cache(self, tmp_path):
         with pytest.raises(ServiceError):
