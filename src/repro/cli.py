@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "sampling seed for experiments with randomized estimators "
-            "(E12); the same seed reproduces every sampled interval "
-            "byte-for-byte across transports, defaults are fixed per "
+            "(E12's interval-coverage phase); the same seed reproduces "
+            "every sampled interval byte-for-byte, defaults are fixed per "
             "experiment so plain runs are already deterministic"
         ),
     )

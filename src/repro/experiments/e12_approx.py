@@ -1,75 +1,44 @@
-"""Experiment E12 -- approximate Gamma: budget x scale x confidence.
+"""Experiment E12 -- exact Gamma at scale, and the sampled interval's coverage.
 
-The exact solvers (E5, E8) re-count distinct visible projections over
-*every* row of a module relation at *every* branch-and-bound node --
-fine at workflow scale, hopeless at the web scale the ROADMAP targets.
-This experiment sweeps the sampling estimator
-(:mod:`repro.privacy.approx`) over sample budget x relation scale x
-confidence level, with the largest scale (10^6 rows by default) chosen
-so the exact frontier is *infeasible* under the experiment's time
-budget (claimed by measuring exact at every oracle-feasible scale and
-extrapolating its per-row cost upward -- the extrapolation is reported,
-not hidden).
+The approximate-Gamma subsystem (:mod:`repro.privacy.approx`) was built
+to stand in for exact Gamma on relations far past workflow scale.  This
+experiment measures whether exact needs a stand-in there: it times the
+exact ``gamma_cost_frontier`` on near-functional scaled relations at
+every scale (up to 2*10^6 rows by default), with the relation build
+timed separately from the frontier.  The exact frontier won at every
+scale it was measured at, so no solver samples; what remains of approx
+is a local interval query.
 
-Per cell the sweep runs ``gamma_cost_frontier(solver="approx")`` and
-records the certified view, its cost, the interval half width (must be
-<= the requested epsilon -- the width-mode refinement contract) and the
-cell wall time.  Every cell at an oracle-feasible scale is checked
-against the exact solver: because the approximate search refines each
-straddling interval to a *decision* (exhausted blocks become exact),
-its accept/prune choices match the exact branch-and-bound's, so
-``matches_oracle`` must be True everywhere -- not just usually.
+The ``coverage`` phase scores that interval query: many
+independently-seeded, budget-limited intervals on a small relation,
+checked against the exact Gamma.  The containment rate must be >= the
+nominal confidence (the lower end is deterministic, so misses can only
+come from the upper bound's ``1 - confidence`` allowance).
 
-Two auxiliary phases make the estimator's statistical and systems
-claims observable:
-
-* ``coverage`` -- many independently-seeded budget-limited intervals on
-  a small relation, scored against the exact Gamma; the containment
-  rate must be >= the nominal confidence (the lower end is
-  deterministic, so misses can only come from the upper bound's
-  ``1 - confidence`` allowance);
-* ``transports`` -- the same ``want="sample"`` batch dispatched through
-  an in-process coordinator, a multiprocess pool and a pooled
-  unix-socket federation; the wire carries the explicit seed, so all
-  three must return byte-identical interval payloads.
-
-Headline: ``approx_speedup`` (extrapolated exact time over measured
-approximate time at the infeasible scale), the measured ratio at the
-largest feasible scale, the coverage rate and the oracle agreement.
+Every number in the table and the headline is measured; nothing is
+extrapolated.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.experiments.reporting import ResultTable
 from repro.experiments.workloads import scaled_structure
-from repro.privacy.approx import (
-    ApproxGammaEstimator,
-    KernelRelation,
-    SampleSpec,
-)
+from repro.privacy.approx import ApproxGammaEstimator, KernelRelation
 from repro.privacy.tradeoff import gamma_cost_frontier
-from repro.service import GammaServer, ShardCoordinator
 
 
 @dataclass(frozen=True)
 class E12Config:
     """Parameters of experiment E12.
 
-    ``scales`` is the row-count sweep; scales above ``oracle_max_rows``
-    are not oracle-checked (that is the point -- exact is infeasible
-    there, claimed via ``exact_budget_s``).  ``epsilon_rel`` sets the
-    requested interval half width as a fraction of the largest swept
-    Gamma level.
+    ``scales`` is the row-count sweep; the exact frontier runs at every
+    one of them.
     """
 
-    scales: tuple[int, ...] = (512, 20_000, 2_000_000)
-    budgets: tuple[int, ...] = (512, 4096)
-    confidences: tuple[float, ...] = (0.9, 0.99)
+    scales: tuple[int, ...] = (512, 20_000, 200_000, 2_000_000)
     gammas: tuple[int, ...] = (2, 8, 32)
     n_inputs: int = 4
     n_outputs: int = 3
@@ -77,23 +46,15 @@ class E12Config:
     #: Fraction of rows whose outputs deviate from the linear map --
     #: near-functional modules are the regime where hiding is needed.
     noise: float = 0.02
-    #: Largest scale the exact oracle runs at (and is timed at).
-    oracle_max_rows: int = 20_000
-    #: Exact time budget (seconds) -- one benchmark cell's budget; a
-    #: scale whose extrapolated exact frontier exceeds it is declared
-    #: exact-infeasible.
-    exact_budget_s: float = 5.0
-    #: Requested half width = ``epsilon_rel * max(gammas)``.
-    epsilon_rel: float = 0.5
+    coverage_confidence: float = 0.99
     coverage_trials: int = 40
     coverage_rows: int = 600
     coverage_budget: int = 64
-    transport_rows: int = 4_096
     seed: int = 7
 
 
 def build_relation(config: E12Config, rows: int) -> KernelRelation:
-    """A fresh relation (fresh kernel/registry) over the scaled structure."""
+    """A fresh relation (fresh kernel) over the scaled structure."""
     return KernelRelation(
         f"E12R{rows}",
         scaled_structure(
@@ -107,125 +68,38 @@ def build_relation(config: E12Config, rows: int) -> KernelRelation:
     )
 
 
-def _frontier_key(points) -> tuple:
-    """The oracle-comparable shape of a frontier: (gamma, cost, view)."""
-    return tuple(
-        (point.gamma, point.cost, tuple(sorted(point.hidden))) for point in points
-    )
-
-
 def run(config: E12Config | None = None, *, seed: int | None = None) -> ResultTable:
-    """Run E12: sweep cells plus ``exact``, ``coverage`` and
-    ``transports`` phase rows.
+    """Run E12: one ``exact`` row per scale, then the ``coverage`` row.
 
-    ``seed`` (the CLI's ``--seed``) overrides the *sampling* seed only;
-    the workload structures stay pinned to ``config.seed`` so different
-    sampling seeds answer questions about the same relations.
+    ``seed`` (the CLI's ``--seed``) overrides the *sampling* seed of the
+    coverage phase only; the workload structures stay pinned to
+    ``config.seed``.
     """
     config = config or E12Config()
     sampling_seed = config.seed if seed is None else int(seed)
-    epsilon = config.epsilon_rel * max(config.gammas)
     rows: ResultTable = []
-
-    # Phase 1: exact baselines at every oracle-feasible scale.  Fresh
-    # relations, so the timing is honest cold-kernel work.
-    exact_frontiers: dict[int, tuple] = {}
-    exact_ms: dict[int, float] = {}
     for scale in config.scales:
-        if scale > config.oracle_max_rows:
-            continue
+        # A fresh relation per scale, so the frontier is cold-kernel work.
+        started = time.perf_counter()
         relation = build_relation(config, scale)
+        build_ms = (time.perf_counter() - started) * 1000.0
         started = time.perf_counter()
         frontier = gamma_cost_frontier(
             relation, gammas=config.gammas, solver="exact"
         )
-        exact_ms[scale] = (time.perf_counter() - started) * 1000.0
-        exact_frontiers[scale] = _frontier_key(frontier)
+        exact_ms = (time.perf_counter() - started) * 1000.0
         rows.append(
             {
                 "phase": "exact",
                 "rows": scale,
-                "time_ms": round(exact_ms[scale], 3),
+                "build_ms": round(build_ms, 3),
+                "time_ms": round(exact_ms, 3),
                 "points": len(frontier),
+                "evaluations": sum(point.evaluations for point in frontier),
+                "total_cost": round(sum(point.cost for point in frontier), 3),
             }
         )
-    # Extrapolate the exact cost to the infeasible scales from the
-    # largest measured one (exact work is O(rows) per node and the node
-    # count is scale-independent here, so linear is the honest model).
-    anchor = max(exact_ms) if exact_ms else None
-    for scale in config.scales:
-        if scale <= config.oracle_max_rows or anchor is None:
-            continue
-        projected_ms = exact_ms[anchor] * (scale / anchor)
-        rows.append(
-            {
-                "phase": "exact",
-                "rows": scale,
-                "time_ms": round(projected_ms, 3),
-                "extrapolated": True,
-                "infeasible": projected_ms > config.exact_budget_s * 1000.0,
-            }
-        )
-
-    # Phase 2: the budget x scale x confidence sweep.  One relation per
-    # scale shared across its cells -- the kernel memoizes partitions
-    # and strata, exactly how a real sweep would run.
-    approx_ms: dict[int, float] = {}
-    for scale in config.scales:
-        relation = build_relation(config, scale)
-        for budget in config.budgets:
-            for confidence in config.confidences:
-                timers_before = relation.kernel.timers
-                started = time.perf_counter()
-                frontier = gamma_cost_frontier(
-                    relation,
-                    gammas=config.gammas,
-                    solver="approx",
-                    budget=budget,
-                    confidence=confidence,
-                    seed=sampling_seed,
-                    target_half_width=epsilon,
-                )
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                # Group-construction share of this cell (the kernel is
-                # shared across cells, so attribute by delta).
-                build_ms = sum(relation.kernel.timers.values()) - sum(
-                    timers_before.values()
-                )
-                approx_ms[scale] = min(
-                    approx_ms.get(scale, float("inf")), elapsed_ms
-                )
-                oracle = exact_frontiers.get(scale)
-                matches = oracle is None or _frontier_key(frontier) == oracle
-                certified = all(
-                    relation.achieved_gamma(point.hidden) >= point.gamma
-                    for point in frontier
-                )
-                max_half_width = max(
-                    (point.ci_half_width or 0.0) for point in frontier
-                )
-                rows.append(
-                    {
-                        "phase": "sweep",
-                        "rows": scale,
-                        "budget": budget,
-                        "confidence": confidence,
-                        "time_ms": round(elapsed_ms, 3),
-                        "build_ms": round(build_ms, 3),
-                        "points": len(frontier),
-                        "total_cost": round(
-                            sum(point.cost for point in frontier), 3
-                        ),
-                        "max_half_width": round(max_half_width, 3),
-                        "within_epsilon": max_half_width <= epsilon,
-                        "oracle_checked": oracle is not None,
-                        "matches_oracle": matches,
-                        "certified": certified,
-                    }
-                )
-
     rows.append(_coverage_row(config, sampling_seed))
-    rows.append(_transports_row(config, sampling_seed))
     return rows
 
 
@@ -234,10 +108,9 @@ def _coverage_row(config: E12Config, sampling_seed: int) -> dict[str, object]:
 
     Budget-limited (no refinement target), so the intervals stay wide
     enough to be a real test of the bounds rather than degenerating to
-    exact.  Scores the *highest* swept confidence -- the strictest
-    nominal rate.
+    exact.
     """
-    confidence = max(config.confidences)
+    confidence = config.coverage_confidence
     relation = build_relation(config, config.coverage_rows)
     hidden = relation.attribute_names()[-1:]
     exact = relation.achieved_gamma(hidden)
@@ -264,105 +137,18 @@ def _coverage_row(config: E12Config, sampling_seed: int) -> dict[str, object]:
     }
 
 
-def _transports_row(config: E12Config, sampling_seed: int) -> dict[str, object]:
-    """One sample batch through all three transports; payloads must match."""
-    relation = build_relation(config, config.transport_rows)
-    names = relation.attribute_names()
-    requests = [
-        relation.visibility_of(hidden)
-        for hidden in ([names[0]], [names[-1]], list(names[:2]))
-    ]
-    structure = relation.structure_signature
-    batch = [(structure, inputs, outputs) for inputs, outputs in requests]
-    spec = SampleSpec(
-        budget=min(config.budgets),
-        confidence=max(config.confidences),
-        seed=sampling_seed,
-    )
-    payloads: dict[str, tuple] = {}
-    with ShardCoordinator(workers=0) as client:
-        payloads["in-process"] = tuple(
-            result.interval for result in client.sample(batch, spec)
-        )
-    with ShardCoordinator(workers=2) as client:
-        payloads["multiprocess"] = tuple(
-            result.interval for result in client.sample(batch, spec)
-        )
-    socket_dir = Path(tempfile.mkdtemp(prefix="e12-"))
-    servers = []
-    try:
-        for index in range(2):
-            servers.append(
-                GammaServer(("unix", str(socket_dir / f"e12-{index}.sock"))).start()
-            )
-        with ShardCoordinator(
-            endpoints=[server.address for server in servers], task_timeout=120.0
-        ) as client:
-            payloads["pooled"] = tuple(
-                result.interval for result in client.sample(batch, spec)
-            )
-    finally:
-        for server in servers:
-            server.close()
-        import shutil
-
-        shutil.rmtree(socket_dir, ignore_errors=True)
-    identical = len(set(payloads.values())) == 1
-    return {
-        "phase": "transports",
-        "rows": config.transport_rows,
-        "budget": spec.budget,
-        "confidence": spec.confidence,
-        "requests": len(batch),
-        "transports": len(payloads),
-        "identical": identical,
-    }
-
-
 def headline(rows: ResultTable) -> dict[str, object]:
-    """Aggregate numbers quoted in EXPERIMENTS.md.
-
-    ``approx_speedup`` is extrapolated-exact over measured-approx at the
-    largest (exact-infeasible) scale; ``approx_speedup_measured`` is the
-    honest same-scale ratio at the largest scale where exact actually
-    ran.
-    """
-    exact = {
-        int(row["rows"]): row for row in rows if row.get("phase") == "exact"
-    }
-    sweep = [row for row in rows if row.get("phase") == "sweep"]
-    best_approx: dict[int, float] = {}
-    for row in sweep:
-        scale = int(row["rows"])
-        best_approx[scale] = min(
-            best_approx.get(scale, float("inf")), float(row["time_ms"])
-        )
-    speedup = measured = 0.0
-    infeasible_scale = 0
-    for scale, row in exact.items():
-        if scale not in best_approx or best_approx[scale] <= 0:
-            continue
-        ratio = float(row["time_ms"]) / best_approx[scale]
-        if row.get("extrapolated"):
-            if scale > infeasible_scale:
-                infeasible_scale, speedup = scale, ratio
-        else:
-            measured = max(measured, ratio)
+    """The exact frontier and relation-build times at the largest scale,
+    and the interval coverage."""
+    exact = [row for row in rows if row.get("phase") == "exact"]
+    largest = max(exact, key=lambda row: int(row["rows"]))
     coverage = next(row for row in rows if row.get("phase") == "coverage")
-    transports = next(row for row in rows if row.get("phase") == "transports")
     return {
-        "approx_speedup": round(speedup, 2),
-        "approx_speedup_measured": round(measured, 2),
-        "infeasible_scale": infeasible_scale,
-        "exact_infeasible_claimed": any(
-            bool(row.get("infeasible")) for row in exact.values()
-        ),
-        "all_within_epsilon": all(bool(row["within_epsilon"]) for row in sweep),
-        "all_match_oracle": all(bool(row["matches_oracle"]) for row in sweep),
-        "all_certified": all(bool(row["certified"]) for row in sweep),
+        "max_rows": int(largest["rows"]),
+        "exact_ms_at_max_rows": float(largest["time_ms"]),
+        "build_ms_at_max_rows": float(largest["build_ms"]),
         "coverage_rate": float(coverage["coverage_rate"]),
         "coverage_meets_nominal": bool(coverage["meets_nominal"]),
-        "transports_identical": bool(transports["identical"]),
     }
 
 
@@ -370,7 +156,9 @@ def main() -> None:  # pragma: no cover - convenience entry point
     from repro.experiments.reporting import print_table
 
     table = run()
-    print_table(table, title="E12 -- approximate Gamma: budget x scale x confidence")
+    print_table(
+        table, title="E12 -- exact Gamma at scale, sampled-interval coverage"
+    )
     print(headline(table))
 
 

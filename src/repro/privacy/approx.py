@@ -1,12 +1,21 @@
-"""Approximate Gamma: stratified sampling estimates with confidence bounds.
+"""Approximate Gamma: a sound, local interval query over one kernel.
 
-The exact kernel (PRs 1, 2, 7) evaluates Gamma by counting the distinct
-visible-output projections of *every* row.  That is O(rows) per
-visibility pair, which the safe-subset solvers multiply by the number of
-branch-and-bound nodes -- intractable for the web-scale relations the
-ROADMAP targets.  This subsystem replaces the exact per-block count with
-a *stratified row sample* and rigorous confidence bounds, giving an
-anytime solver path that certifies privacy from a few thousand rows.
+The paper's guarantee is exact -- a secure view is Gamma-private when
+every private module's exact Gamma meets its requirement -- and the
+safe-subset solvers compute that exact Gamma.  This module answers a
+narrower question: *roughly where* does one visibility pair's Gamma lie,
+without an exact count over every row?  :meth:`ApproxGammaEstimator.interval`
+(and the kernel-level :func:`kernel_sample_interval`) return a
+:class:`GammaInterval` whose lower end is deterministic and whose upper
+end holds with the requested confidence.  It runs against the relation's
+local kernel only; nothing here crosses the service wire.
+
+Measured on E12's ``scaled_structure`` relations (2-core VM), the exact
+frontier beat a sampled solver at every scale up to 2*10^6 rows, so no
+solver uses this module.  What stays is the one case it measured
+faster: a single interval query on a *warm* kernel at 2*10^6 rows
+(19-28 ms against 27-63 ms for an exact count on the same kernel),
+at the price of a wide interval.
 
 Estimator
 ---------
@@ -16,9 +25,9 @@ the exact path).  Each block ``b`` of size ``m_b`` is a *stratum*; the
 sampler draws ``s_b`` rows without replacement via an incremental
 Fisher-Yates stream seeded from ``(seed, structure signature,
 visibility pair, block id)`` -- a pure function, so estimates are
-byte-identical across processes and transports.  From the
-sample it observes ``d_b`` distinct visible-output projections of which
-``f1_b`` are singletons, and bounds the true distinct count ``D_b``:
+byte-identical across processes and runs.  From the sample it observes
+``d_b`` distinct visible-output projections of which ``f1_b`` are
+singletons, and bounds the true distinct count ``D_b``:
 
 * lower: ``D_b >= d_b`` -- deterministic, so every *safety* claim made
   from lower bounds is sound regardless of sampling luck;
@@ -47,38 +56,23 @@ confidence and any stopping rule is valid.  An exhausted block is
 exact, so threshold questions always terminate with a definite answer
 (and a budget >= the row count degenerates to the exact Gamma, byte for
 byte).
-
-Solver
-------
-:func:`approx_safe_subset` mirrors the exact branch-and-bound
-(:func:`~repro.privacy.module_privacy.exact_safe_subset`) node for node:
-a subset is accepted when its *lower* confidence bound reaches the
-requested Gamma (sound), and a branch is pruned when the *upper* bound
-of its maximal extension falls short (holds with the spec's confidence,
-by Gamma's monotonicity in the hidden set).  It returns the
-``(view, cost, ci_half_width, confidence)`` quadruple via
-:meth:`ApproxSafeSubsetResult.as_tuple` instead of a bare answer, and is
-anytime: ``node_budget`` caps the search, falling back to a greedy
-certified completion.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.errors import InfeasiblePrivacyError, PrivacyError
+from repro.errors import PrivacyError
 from repro.privacy.columnar import WORD_BYTES
 from repro.privacy.kernel_registry import (
     GammaKernelRegistry,
     RelationStructure,
     SharedGammaKernel,
 )
-from repro.privacy.module_privacy import SafeSubsetResult, _costs_for
 from repro.privacy.relations import Attribute
 
 #: Default total row-sample budget per estimate.
@@ -142,14 +136,13 @@ def _unseen_allowance(
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SampleSpec:
-    """One sampled Gamma evaluation request (cache- and wire-stable).
+    """The parameters of one sampled Gamma estimate.
 
     Reproducibility contract: an estimate is a pure function of
     ``(structure signature, visibility pair, spec)``.  Per-block RNG
     streams hash the seed together with the signature, the visibility
-    pair and the block id, never process or transport state, so the same
-    spec returns the same interval across ``workers=0``, multiprocess
-    and pooled transports.
+    pair and the block id, never process state, so the same spec
+    returns the same interval in every process.
     """
 
     budget: int = DEFAULT_BUDGET
@@ -196,31 +189,6 @@ class SampleSpec:
             self.min_block_samples,
         )
 
-    def to_wire(self) -> list:
-        """Positional wire form (the 6th element of a sample task's wire form)."""
-        return [
-            self.budget,
-            self.confidence,
-            self.seed,
-            self.threshold,
-            self.target_half_width,
-            self.max_rounds,
-            self.min_block_samples,
-        ]
-
-    @classmethod
-    def from_wire(cls, payload: Iterable) -> "SampleSpec":
-        budget, confidence, seed, threshold, width, max_rounds, min_block = payload
-        return cls(
-            budget=int(budget),
-            confidence=float(confidence),
-            seed=int(seed),
-            threshold=None if threshold is None else int(threshold),
-            target_half_width=None if width is None else float(width),
-            max_rounds=None if max_rounds is None else int(max_rounds),
-            min_block_samples=int(min_block),
-        )
-
 
 @dataclass(frozen=True)
 class GammaInterval:
@@ -251,7 +219,7 @@ class GammaInterval:
         return self.lower <= gamma <= self.upper
 
     def to_payload(self) -> tuple[int, ...]:
-        """Pure-int tuple form (cache payloads and ``TaskResult.interval``)."""
+        """Pure-int tuple form (the kernel LRU caches this)."""
         return (
             self.lower,
             self.upper,
@@ -592,11 +560,9 @@ def kernel_sample_interval(
 ) -> GammaInterval:
     """Sampled Gamma interval for one visibility pair of one kernel.
 
-    The single evaluation path behind every entry point -- the local
-    estimator, the worker loop's ``want="sample"`` branch and the
-    in-process fallback all call this, which is what makes transports
-    byte-identical.  Finished payloads are memoized in the kernel's LRU
-    (key kind ``"sample"``), sharing byte accounting with exact entries.
+    :class:`ApproxGammaEstimator` calls this on its relation's kernel.
+    Finished payloads are memoized in the kernel's LRU (key kind
+    ``"sample"``), sharing byte accounting with exact entries.
     """
     visible_inputs = tuple(int(index) for index in visible_inputs)
     visible_outputs = tuple(int(index) for index in visible_outputs)
@@ -615,13 +581,8 @@ def kernel_sample_interval(
 # Relation-facing estimator
 # ---------------------------------------------------------------------- #
 class ApproxGammaEstimator:
-    """Sampled Gamma intervals for one relation's hidden-attribute sets.
-
-    Evaluates locally against the relation's kernel by default; passing
-    ``service=`` (any object with the :class:`ShardCoordinator` ``sample``
-    method) dispatches each estimate as a ``want="sample"`` task instead,
-    with the spec -- including its explicit seed -- on the wire.
-    """
+    """Sampled Gamma intervals for one relation's hidden-attribute sets,
+    evaluated against the relation's local kernel."""
 
     def __init__(
         self,
@@ -632,7 +593,6 @@ class ApproxGammaEstimator:
         seed: int = DEFAULT_SEED,
         max_rounds: int | None = None,
         min_block_samples: int = MIN_BLOCK_SAMPLES,
-        service=None,
     ) -> None:
         self._relation = relation
         self.budget = budget
@@ -640,7 +600,6 @@ class ApproxGammaEstimator:
         self.seed = seed
         self.max_rounds = max_rounds
         self.min_block_samples = min_block_samples
-        self._service = service
         # Validate eagerly (SampleSpec carries the range checks).
         self.spec_for()
 
@@ -673,202 +632,9 @@ class ApproxGammaEstimator:
         spec = self.spec_for(
             threshold=threshold, target_half_width=target_half_width
         )
-        if self._service is None:
-            return kernel_sample_interval(
-                self._relation.kernel, visible_inputs, visible_outputs, spec
-            )
-        [result] = self._service.sample(
-            [(self._relation.structure_signature, visible_inputs, visible_outputs)],
-            spec,
+        return kernel_sample_interval(
+            self._relation.kernel, visible_inputs, visible_outputs, spec
         )
-        return GammaInterval.from_payload(result.interval, spec.confidence)
-
-
-# ---------------------------------------------------------------------- #
-# Anytime safe-subset search
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ApproxSafeSubsetResult(SafeSubsetResult):
-    """A safe-subset answer qualified by its confidence interval.
-
-    ``gamma`` (inherited) is the *certified lower bound* on the chosen
-    view's Gamma -- sound unconditionally, >= the requested level.
-    ``optimal`` is only claimed when every consulted interval degenerated
-    to exact (then the search is literally the exact branch-and-bound).
-    """
-
-    gamma_lower: int = 0
-    gamma_upper: int = 0
-    ci_half_width: float = 0.0
-    confidence: float = DEFAULT_CONFIDENCE
-    samples_drawn: int = 0
-    exact_degenerate: bool = False
-
-    def as_tuple(self) -> tuple[frozenset[str], float, float, float]:
-        """The headline ``(view, cost, ci_half_width, confidence)`` quadruple."""
-        return (self.hidden, self.cost, self.ci_half_width, self.confidence)
-
-    def summary(self) -> dict[str, object]:
-        data = super().summary()
-        data["gamma_upper"] = self.gamma_upper
-        data["ci_half_width"] = self.ci_half_width
-        data["confidence"] = self.confidence
-        data["samples"] = self.samples_drawn
-        return data
-
-
-def approx_safe_subset(
-    relation,
-    gamma: int,
-    *,
-    costs: Mapping[str, float] | None = None,
-    candidate_attributes: Iterable[str] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    confidence: float = DEFAULT_CONFIDENCE,
-    seed: int = DEFAULT_SEED,
-    max_rounds: int | None = None,
-    target_half_width: float | None = None,
-    node_budget: int | None = None,
-    min_block_samples: int = MIN_BLOCK_SAMPLES,
-    service=None,
-) -> ApproxSafeSubsetResult:
-    """Minimum-cost safe subset via sampled intervals (anytime, sound).
-
-    Mirrors :func:`~repro.privacy.module_privacy.exact_safe_subset` node
-    for node: same cost-ordered best-first frontier, same successor rule.
-    A popped subset is *accepted* when its interval's deterministic lower
-    bound reaches ``gamma`` -- the returned view is therefore certifiably
-    safe no matter how the sampling behaved.  A branch is *pruned* when
-    the upper confidence bound of its maximal extension falls below
-    ``gamma`` (correct with probability >= ``confidence``; a wrong prune
-    can only cost optimality, never safety).  With ``budget`` >= the row
-    count every interval is exact and the search reproduces the exact
-    solver byte for byte.  ``node_budget`` caps the number of expanded
-    nodes; on exhaustion a greedy certified completion is returned with
-    ``optimal=False`` (the anytime contract).
-    """
-    if gamma < 1:
-        raise PrivacyError("gamma must be >= 1")
-    costs_map = _costs_for(relation, costs)
-    universe = tuple(
-        candidate_attributes
-        if candidate_attributes is not None
-        else relation.attribute_names()
-    )
-    estimator = ApproxGammaEstimator(
-        relation,
-        budget=budget,
-        confidence=confidence,
-        seed=seed,
-        max_rounds=max_rounds,
-        min_block_samples=min_block_samples,
-        service=service,
-    )
-    evaluations = 0
-    samples_drawn = 0
-    all_exact = True
-
-    def interval_for(subset: Iterable[str], *, width: bool = False) -> GammaInterval:
-        nonlocal evaluations, samples_drawn, all_exact
-        # Search nodes only need the threshold *decision*; the half-width
-        # target applies to the returned box alone and is re-queried for
-        # the chosen subset at the end -- tightening every explored node
-        # would multiply the sampling work for no better answer.
-        box = estimator.interval(
-            subset,
-            threshold=gamma,
-            target_half_width=target_half_width if width else None,
-        )
-        evaluations += 1
-        samples_drawn += box.samples_used
-        all_exact = all_exact and box.exact
-        return box
-
-    full = interval_for(universe)
-    if full.lower < gamma:
-        if full.upper < gamma:
-            raise InfeasiblePrivacyError(
-                f"module {relation.module_id!r} cannot reach gamma={gamma} even "
-                f"when hiding all candidate attributes"
-            )
-        raise InfeasiblePrivacyError(
-            f"module {relation.module_id!r} could not be certified to reach "
-            f"gamma={gamma} within the sampling budget (interval "
-            f"[{full.lower}, {full.upper}])"
-        )
-
-    order = sorted(universe, key=lambda name: (costs_map[name], name))
-    frontier: list[tuple[float, int, tuple[str, ...], int]] = [(0.0, 0, (), 0)]
-    chosen: tuple[tuple[str, ...], float, GammaInterval] | None = None
-    truncated = False
-    expanded = 0
-    while frontier:
-        cost, size, subset, next_position = heapq.heappop(frontier)
-        expanded += 1
-        if node_budget is not None and expanded > node_budget:
-            truncated = True
-            break
-        box = interval_for(subset)
-        if box.lower >= gamma:
-            chosen = (subset, cost, box)
-            break
-        if next_position >= len(order):
-            continue
-        extension = interval_for(subset + tuple(order[next_position:]))
-        if extension.upper < gamma:
-            # Monotone prune on the upper confidence bound: no descendant
-            # can be safe unless the bound failed (prob <= 1 - confidence).
-            continue
-        for position in range(next_position, len(order)):
-            name = order[position]
-            heapq.heappush(
-                frontier,
-                (cost + costs_map[name], size + 1, subset + (name,), position + 1),
-            )
-
-    if chosen is None:
-        # Anytime fallback: the universe is certified safe (feasibility
-        # check above), so greedily drop the most expensive attributes
-        # that keep the *lower* bound safe -- still sound, not optimal.
-        truncated = True
-        hidden_set = set(universe)
-        for name in sorted(universe, key=lambda n: (-costs_map[n], n)):
-            if len(hidden_set) <= 1:
-                break
-            candidate = hidden_set - {name}
-            if interval_for(candidate).lower >= gamma:
-                hidden_set = candidate
-        subset = tuple(sorted(hidden_set))
-        chosen = (
-            subset,
-            sum(costs_map[name] for name in subset),
-            interval_for(subset),
-        )
-
-    subset, cost, box = chosen
-    if (
-        target_half_width is not None
-        and not box.exact
-        and box.half_width > target_half_width
-    ):
-        # More samples only grow per-block distinct counts, so the
-        # re-queried lower bound stays >= gamma -- the accept stands.
-        box = interval_for(subset, width=True)
-    return ApproxSafeSubsetResult(
-        module_id=relation.module_id,
-        hidden=frozenset(subset),
-        cost=cost,
-        gamma=box.lower,
-        requested_gamma=gamma,
-        optimal=all_exact and not truncated,
-        evaluations=evaluations,
-        gamma_lower=box.lower,
-        gamma_upper=box.upper,
-        ci_half_width=box.half_width,
-        confidence=confidence,
-        samples_drawn=samples_drawn,
-        exact_degenerate=all_exact,
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -879,7 +645,7 @@ class KernelRelation:
 
     Scaled workloads (E12's million-row relations) never materialize a
     row *mapping* -- only the canonical column table exists.  This class
-    exposes exactly the surface the solvers and the frontier sweep use
+    exposes exactly the surface the exact solver and the frontier sweep use
     (``attributes`` / ``attribute_names`` / ``visibility_of`` /
     ``achieved_gamma`` / ``hiding_cost`` / ``max_gamma`` / ``kernel`` /
     ``structure_signature``) on top of a shared Gamma kernel, with

@@ -635,7 +635,7 @@ class SharedGammaKernel:
 
         ``partition_build_ms`` covers refinement passes,
         ``strata_build_ms`` the incremental strata bucket passes --
-        the attribution E9/E12 use to split group construction from
+        the attribution E9 uses to split group construction from
         counting.  Unlike :attr:`counters` these are nondeterministic
         floats (see :data:`TIMING_STAT_KEYS`).
         """

@@ -268,9 +268,10 @@ class WorkflowPrivacyRequirements:
         incremental bound: a search node only re-checks the modules its
         parent left unsatisfied (Gamma is monotone in the hidden set, so
         satisfied modules stay satisfied in every descendant).  With a
-        ``service``, the checked modules' Gamma evaluations are shipped
-        to the sharded evaluation service as one batch; otherwise each
-        comes from the relation's local memoized kernel.
+        ``service`` and two or more checked modules, their Gamma
+        evaluations are shipped to the sharded evaluation service as one
+        batch; a single checked module, or no service, reads each Gamma
+        from the relation's local memoized kernel.
 
         ``first_only`` short-circuits at the first unsatisfied module --
         for callers that only need feasibility (is *anything* unmet?),
@@ -337,9 +338,13 @@ def exact_secure_view(
     unsatisfied on its subset (the cross-module incremental bound):
     descendants re-evaluate only those, so a module discharged near the
     root is never touched again anywhere in its subtree.  With a
-    ``service``, each node's remaining per-module Gamma evaluations run
-    as one batch on the sharded evaluation service (in parallel across
-    worker processes); results are identical either way.
+    ``service``, a node that re-checks two or more modules runs their
+    Gamma evaluations as one batch on the sharded evaluation service (in
+    parallel across worker processes).  At ``pipeline_depth`` 1 a node
+    that re-checks a single module answers it from that relation's
+    local kernel even then: the ``len(indices) > 1`` test in
+    :meth:`WorkflowPrivacyRequirements.unsatisfied_indices` picks the
+    path.  Results are identical either way.
 
     ``pipeline_depth`` k > 1 (with a ``service``) additionally
     *pipelines* the frontier: the Gamma batches of the top-k frontier

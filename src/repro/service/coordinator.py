@@ -32,15 +32,21 @@ Two client APIs:
   requests of pruned search nodes -- late results for discarded
   requests are dropped on receipt.
 
-With ``coalesce=N`` the asynchronous path buffers submitted tasks per
-shard and flushes them as *coalesced* batches (one IPC round trip
-carrying the tasks of up to N requests); completion is tracked per
-task, so requests sharing a batch still complete and fail
-independently.  The multiprocess transport additionally publishes
-each canonical row table once through
+Every submit goes through one dispatch path: tasks are buffered per
+shard and a shard's buffer flushes as one batch once it holds
+``coalesce`` tasks.  With ``coalesce=N`` a batch is *coalesced* (one
+IPC round trip carrying the tasks of several requests); the default
+``coalesce=0`` flushes each submit's shard batches at once.  Completion
+is tracked per task, so requests sharing a batch still complete and
+fail independently.  The multiprocess transport additionally
+publishes each canonical row table once through
 :mod:`multiprocessing.shared_memory` and ships a zero-copy
 :class:`~repro.service.protocol.ShmTableRef` instead of re-serialising
 rows per shard (``shm_tables=False`` restores value shipping).
+
+The coordinator serves exact Gamma only (``want`` is ``"gamma"`` or
+``"entry"``); sampled Gamma intervals are a local query of
+:mod:`repro.privacy.approx` and have no service path.
 
 Fault handling: a batch is re-dispatched when its shard is found dead
 (respawned workers and reconnected servers start warm from snapshots);
@@ -63,7 +69,6 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.errors import ServiceError, ServiceOverloadError
-from repro.privacy.approx import SampleSpec
 from repro.privacy.kernel_registry import RelationStructure
 from repro.service.persistence import KernelSnapshotStore
 from repro.service.protocol import (
@@ -73,7 +78,6 @@ from repro.service.protocol import (
     MSG_OVERLOAD,
     MSG_STOPPED,
     WANT_GAMMA,
-    WANT_SAMPLE,
     GammaBatch,
     GammaTask,
     ShardReport,
@@ -219,12 +223,11 @@ class ShardCoordinator:
         #: task id -> owning request id, for every buffered or in-flight
         #: task; results and discards resolve their request through this.
         self._task_requests: dict[int, int] = {}
-        #: Dispatch coalescing: 0 disables it (every submit dispatches
-        #: its shard batches immediately, the pre-PR-7 behavior); N > 0
-        #: buffers tasks per shard and flushes a shard's buffer when it
-        #: holds >= N tasks -- one IPC round trip carries the subset
-        #: evaluations of many pipelined requests.  collect() flushes
-        #: all buffers first, so no task waits on the threshold.
+        #: Dispatch coalescing: tasks are buffered per shard and a
+        #: shard's buffer flushes when it holds >= N tasks -- one IPC
+        #: round trip carries the subset evaluations of many pipelined
+        #: requests; N = 0 flushes every submit at once.  collect()
+        #: flushes all buffers first, so no task waits on the threshold.
         self.coalesce = int(coalesce)
         self._buffers: dict[int, list[GammaTask]] = {}
         self._coalesced_batches = 0
@@ -312,15 +315,12 @@ class ShardCoordinator:
         requests: Iterable[GammaRequest],
         *,
         want: str = WANT_GAMMA,
-        sample: "SampleSpec | None" = None,
     ) -> int:
         """Dispatch every request as one logical unit; returns a request id.
 
         Each request is ``(structure, visible_inputs, visible_outputs)``;
         with ``want="entry"`` the results carry the full kernel-entry
-        payload (per-block counts and partition) instead of Gamma only,
-        and with ``want="sample"`` the given :class:`SampleSpec` rides
-        along on every task and the results carry interval payloads.
+        payload (per-block counts and partition) instead of Gamma only.
         The caller later passes the id to :meth:`collect` (block until
         complete) or :meth:`discard` (drop an abandoned speculation).
         """
@@ -337,7 +337,6 @@ class ShardCoordinator:
                         tuple(visible_inputs),
                         tuple(visible_outputs),
                         want,
-                        sample,
                     )
                 )
             request_id = next(self._request_ids)
@@ -353,17 +352,13 @@ class ShardCoordinator:
             for task in tasks:
                 shard_id = shard_of(task.signature, shards) if shards > 1 else 0
                 by_shard.setdefault(shard_id, []).append(task)
-            if self.coalesce > 0:
-                # Buffer; a shard's buffer flushes once it holds enough
-                # tasks for one worthwhile IPC round trip.
-                for shard_id, shard_tasks in by_shard.items():
-                    buffer = self._buffers.setdefault(shard_id, [])
-                    buffer.extend(shard_tasks)
-                    if len(buffer) >= self.coalesce:
-                        self._flush_shard(shard_id)
-            else:
-                for shard_id, shard_tasks in by_shard.items():
-                    self._dispatch_tasks(shard_id, shard_tasks)
+            # Buffer; a shard's buffer flushes once it holds enough tasks
+            # for one worthwhile IPC round trip (at once when coalesce=0).
+            for shard_id, shard_tasks in by_shard.items():
+                buffer = self._buffers.setdefault(shard_id, [])
+                buffer.extend(shard_tasks)
+                if len(buffer) >= self.coalesce:
+                    self._flush_shard(shard_id)
             return request_id
 
     def _dispatch_tasks(self, shard_id: int, tasks: list[GammaTask]) -> None:
@@ -500,18 +495,6 @@ class ShardCoordinator:
     def gammas(self, requests: Iterable[GammaRequest]) -> list[int]:
         """Just the Gamma of every request, in request order."""
         return [result.gamma for result in self.evaluate(requests)]
-
-    def sample(
-        self, requests: Iterable[GammaRequest], spec: "SampleSpec"
-    ) -> list[TaskResult]:
-        """Sampled Gamma intervals for every request, in request order.
-
-        Every result's ``interval`` holds the estimator's payload and
-        ``gamma`` its certified lower bound.  The spec's explicit seed
-        travels on the wire, so the same call is byte-identical across
-        ``workers=0``, multiprocess and pooled transports.
-        """
-        return self.collect(self.submit(requests, want=WANT_SAMPLE, sample=spec))
 
     # ------------------------------------------------------------------ #
     # Dispatch and the result pump
@@ -676,7 +659,7 @@ class ShardCoordinator:
             report,
             retried=batch_id in self._retried_batch_ids,
             dispatch_latency_ms=round(latency_ms, 6),
-            coalesced_requests=len(member_ids) if self.coalesce > 0 else 0,
+            coalesced_requests=len(member_ids),
         )
         self._retried_batch_ids.discard(batch_id)
         self._latencies_ms.append(latency_ms)
@@ -784,7 +767,7 @@ class ShardCoordinator:
         }
         # Group-construction attribution (sort-free kernel satellite):
         # how much shard wall time went into partition/strata building vs
-        # fused counting passes, so E9/E12 can split the two.
+        # fused counting passes, so E9 can split the two.
         kernel = self.kernel_stats()
         for key in ("entry_fused_passes", "partition_build_ms", "strata_build_ms"):
             if key in kernel:

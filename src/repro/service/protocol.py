@@ -19,8 +19,10 @@ or values.
   request it belongs to -- the correlation key that lets a pipelining
   client keep several requests in flight and match out-of-order
   completions;
-* :class:`TaskResult` carries the Gamma (and, when ``want="entry"``, the
-  full kernel-entry payload) back; :class:`ShardReport` carries the
+* :class:`TaskResult` carries the exact Gamma (and, when
+  ``want="entry"``, the full kernel-entry payload) back -- sampled
+  Gamma intervals (:mod:`repro.privacy.approx`) are a local query and
+  never cross the wire; :class:`ShardReport` carries the
   shard's merged ``kernel_stats`` and warm-start gauges, is flagged
   ``retried`` by the coordinator when the batch had to be re-dispatched
   after a worker crash, and (coordinator-side) records the
@@ -55,7 +57,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.privacy.approx import SampleSpec
 from repro.privacy.kernel_registry import RelationStructure
 
 #: Control message asking a worker to snapshot its kernels and exit.
@@ -65,11 +66,9 @@ SHUTDOWN = "__shutdown__"
 #: snapshotting -- the crash-recovery test hook.
 CRASH = "__crash__"
 
-#: ``GammaTask.want`` values: return only the Gamma, the full entry, or a
-#: sampled confidence interval (the task then carries a ``SampleSpec``).
+#: ``GammaTask.want`` values: return only the Gamma, or the full entry.
 WANT_GAMMA = "gamma"
 WANT_ENTRY = "entry"
-WANT_SAMPLE = "sample"
 
 #: Message kinds exchanged between transports/servers and the coordinator.
 MSG_BATCH = "batch"
@@ -116,30 +115,17 @@ def shard_of(signature: str, shards: int) -> int:
 
 @dataclass(frozen=True)
 class GammaTask:
-    """One Gamma evaluation: a structure signature plus a visibility pair.
-
-    ``want="sample"`` tasks additionally carry the :class:`SampleSpec`
-    driving the estimator -- including its explicit seed, so the worker's
-    sampling streams are fixed by the request alone and the reply is
-    byte-identical over any transport.
-    """
+    """One Gamma evaluation: a structure signature plus a visibility pair."""
 
     task_id: int
     signature: str
     visible_inputs: tuple[int, ...]
     visible_outputs: tuple[int, ...]
     want: str = WANT_GAMMA
-    sample: SampleSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.want not in (WANT_GAMMA, WANT_ENTRY, WANT_SAMPLE):
+        if self.want not in (WANT_GAMMA, WANT_ENTRY):
             raise ServiceError(f"unknown task payload kind {self.want!r}")
-        if self.want == WANT_SAMPLE and self.sample is None:
-            raise ServiceError("want='sample' tasks must carry a SampleSpec")
-        if self.want != WANT_SAMPLE and self.sample is not None:
-            raise ServiceError(
-                f"want={self.want!r} tasks must not carry a SampleSpec"
-            )
 
 
 @dataclass(frozen=True)
@@ -194,9 +180,6 @@ class TaskResult:
 
     ``counts`` and ``partition`` are populated only for ``want="entry"``
     tasks, keeping the common (Gamma-only) reply small on the wire.
-    ``interval`` is populated only for ``want="sample"`` tasks: the
-    :meth:`~repro.privacy.approx.GammaInterval.to_payload` int tuple
-    (``gamma`` then holds the interval's certified lower bound).
     """
 
     task_id: int
@@ -204,7 +187,6 @@ class TaskResult:
     gamma: int
     counts: tuple[int, ...] | None = None
     partition: tuple[int, ...] | None = None
-    interval: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -247,9 +229,9 @@ class ShardReport:
     #: no membership concept.
     epoch: int = 0
     #: How many client-side logical requests this batch's tasks belonged
-    #: to, stamped by the coordinator when dispatch coalescing merged
-    #: several requests' tasks into one IPC round trip (1 for a batch
-    #: serving a single request, 0 on the uncoalesced path).
+    #: to, stamped by the coordinator on receipt (0 until then): more
+    #: than 1 when dispatch coalescing merged several requests' tasks
+    #: into one IPC round trip, 1 for a batch serving a single request.
     coalesced_requests: int = 0
     #: Tenant identity the serving :class:`~repro.service.server.GammaServer`
     #: resolved for the connection (from the token handshake when auth is
@@ -382,27 +364,20 @@ def _structure_under(signature: str, wire: list) -> RelationStructure:
 
 
 def task_to_wire(task: GammaTask) -> list:
-    """A task's wire form; the sample spec (or ``None``) is always 6th."""
     return [
         task.task_id,
         task.signature,
         list(task.visible_inputs),
         list(task.visible_outputs),
         task.want,
-        None if task.sample is None else task.sample.to_wire(),
     ]
 
 
 @_fails_closed
 def task_from_wire(wire: list) -> GammaTask:
-    task_id, signature, visible_inputs, visible_outputs, want, sample = wire
+    task_id, signature, visible_inputs, visible_outputs, want = wire
     return GammaTask(
-        task_id,
-        signature,
-        tuple(visible_inputs),
-        tuple(visible_outputs),
-        want,
-        None if sample is None else SampleSpec.from_wire(sample),
+        task_id, signature, tuple(visible_inputs), tuple(visible_outputs), want
     )
 
 
@@ -435,27 +410,24 @@ def batch_from_wire(wire: list) -> GammaBatch:
 
 
 def result_to_wire(result: TaskResult) -> list:
-    """A result's wire form; the interval (or ``None``) is always 6th."""
     return [
         result.task_id,
         result.signature,
         result.gamma,
         None if result.counts is None else list(result.counts),
         None if result.partition is None else list(result.partition),
-        None if result.interval is None else list(result.interval),
     ]
 
 
 @_fails_closed
 def result_from_wire(wire: list) -> TaskResult:
-    task_id, signature, gamma, counts, partition, interval = wire
+    task_id, signature, gamma, counts, partition = wire
     return TaskResult(
         task_id,
         signature,
         gamma,
         None if counts is None else tuple(counts),
         None if partition is None else tuple(partition),
-        None if interval is None else tuple(int(value) for value in interval),
     )
 
 

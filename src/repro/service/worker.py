@@ -10,7 +10,9 @@ Lifecycle:
 
 1. on start, preload persisted kernel snapshots for owned signatures
    (warm start -- repeated sweeps skip the cold partition computations);
-2. serve :class:`GammaBatch` messages from the task queue, replying with
+2. serve :class:`GammaBatch` messages from the task queue -- each task
+   answered with its exact Gamma, or its full kernel entry for
+   ``want="entry"`` -- replying with
    ``("batch", shard_id, batch_id, results, report)`` tuples (the same
    message shape every transport delivers to the coordinator);
 3. on :data:`SHUTDOWN`, snapshot every kernel back to disk and exit.
@@ -29,7 +31,6 @@ import traceback
 from typing import TYPE_CHECKING
 
 from repro.privacy import columnar
-from repro.privacy.approx import kernel_sample_interval
 from repro.privacy.kernel_registry import (
     GammaKernelRegistry,
     RelationStructure,
@@ -43,7 +44,6 @@ from repro.service.protocol import (
     MSG_STOPPED,
     SHUTDOWN,
     WANT_ENTRY,
-    WANT_SAMPLE,
     GammaBatch,
     ShardReport,
     ShmTableRef,
@@ -162,19 +162,6 @@ def process_batch(
                 f"shard received task for unknown structure {task.signature!r} "
                 "(batch did not ship it and no earlier batch did)"
             )
-        if task.want == WANT_SAMPLE:
-            interval = kernel_sample_interval(
-                kernel, task.visible_inputs, task.visible_outputs, task.sample
-            )
-            results.append(
-                TaskResult(
-                    task.task_id,
-                    task.signature,
-                    interval.lower,
-                    interval=interval.to_payload(),
-                )
-            )
-            continue
         partition, counts, gamma = kernel.entry(
             task.visible_inputs, task.visible_outputs
         )

@@ -1,4 +1,4 @@
-"""Approximate Gamma subsystem tests.
+"""Sampled Gamma interval query tests.
 
 Covers the estimator's statistical contract and its plumbing:
 
@@ -7,17 +7,16 @@ Covers the estimator's statistical contract and its plumbing:
   value lands inside the interval at >= the nominal confidence across
   sampling seeds;
 * **degeneracy** -- a budget covering every row reproduces the exact
-  kernel answer byte for byte, and the approx solver then equals the
-  exact branch-and-bound node for node;
+  kernel answer byte for byte;
 * **oracle equivalence** -- kernels on the vectorized table and on the
   tuple/dict reference table produce identical interval payloads, and
   the batched ``exhaust_distincts`` stratum pass agrees with
   ``sample_distincts`` over the full strata;
-* **transports** -- the same :class:`SampleSpec` yields byte-identical
-  intervals locally, through the in-process coordinator and through a
-  multiprocess pool, with the seed explicit on the wire;
-* **wire compat** -- sample tasks/results append a 6th element while
-  plain traffic keeps the legacy 5-element form.
+* **local only** -- the same :class:`SampleSpec` hits the kernel's
+  sample cache and a fixed seed reproduces on a fresh kernel; the
+  estimator takes no service, no solver is named ``"approx"``, the
+  frontier reports exact points only, and task/result wire forms have
+  5 elements: nothing sampled crosses the service wire.
 """
 
 from __future__ import annotations
@@ -27,30 +26,26 @@ from columnar_oracle import use_table
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InfeasiblePrivacyError, PrivacyError, ServiceError
+from repro.errors import PrivacyError, ServiceError
 from repro.experiments.workloads import scaled_structure
 from repro.privacy.approx import (
     ApproxGammaEstimator,
-    ApproxSafeSubsetResult,
     GammaInterval,
     KernelRelation,
     SampleSpec,
-    approx_safe_subset,
     empirical_bernstein_epsilon,
     hoeffding_epsilon,
     kernel_sample_interval,
 )
-from repro.privacy.module_privacy import (
-    exact_safe_subset,
-    solve_safe_subset,
-)
+from repro.privacy.module_privacy import exact_safe_subset, solve_safe_subset
 from repro.privacy.relations import ModuleRelation
 from repro.privacy.tradeoff import gamma_cost_frontier
 from repro.service import ShardCoordinator
 from repro.service.protocol import (
-    WANT_SAMPLE,
+    WANT_ENTRY,
     GammaTask,
     TaskResult,
+    batch_from_wire,
     result_from_wire,
     result_to_wire,
     task_from_wire,
@@ -115,24 +110,6 @@ class TestSampleSpec:
     def test_validation(self, kwargs):
         with pytest.raises(PrivacyError):
             SampleSpec(**kwargs)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            SampleSpec(),
-            SampleSpec(
-                budget=17,
-                confidence=0.875,
-                seed=42,
-                threshold=3,
-                target_half_width=1.5,
-                max_rounds=4,
-                min_block_samples=2,
-            ),
-        ],
-    )
-    def test_wire_roundtrip(self, spec):
-        assert SampleSpec.from_wire(spec.to_wire()) == spec
 
     def test_cache_token_distinguishes_none_fields(self):
         tokens = {
@@ -233,86 +210,6 @@ class TestIntervalSoundness:
             ApproxGammaEstimator(sampled_relation(), budget=0)
 
 
-class TestApproxSolver:
-    def test_degenerate_budget_matches_exact_solver(self):
-        relation = small_relation()
-        gamma = 3
-        exact = exact_safe_subset(relation, gamma)
-        approx = solve_safe_subset(
-            relation, gamma, solver="approx", budget=10_000
-        )
-        assert isinstance(approx, ApproxSafeSubsetResult)
-        assert approx.hidden == exact.hidden
-        assert approx.cost == exact.cost
-        assert approx.gamma == exact.gamma
-        assert approx.optimal and approx.exact_degenerate
-        assert approx.ci_half_width == 0.0
-        view, cost, half_width, confidence = approx.as_tuple()
-        assert view == exact.hidden and cost == exact.cost
-        assert half_width == 0.0 and 0.0 < confidence < 1.0
-
-    def test_sampled_answer_is_certified_safe(self):
-        relation = sampled_relation()
-        gamma = 4
-        result = approx_safe_subset(
-            relation, gamma, budget=32, min_block_samples=2, seed=1
-        )
-        assert result.gamma_lower >= gamma
-        # The certification is sound: the exact Gamma of the returned
-        # view really reaches the requested level.
-        assert relation.achieved_gamma(result.hidden) >= gamma
-        assert result.samples_drawn > 0
-        assert result.gamma_upper >= result.gamma_lower
-
-    def test_node_budget_is_anytime_but_still_certified(self):
-        relation = sampled_relation()
-        gamma = 4
-        result = approx_safe_subset(
-            relation,
-            gamma,
-            budget=32,
-            min_block_samples=2,
-            node_budget=1,
-        )
-        assert not result.optimal
-        assert result.gamma_lower >= gamma
-        assert relation.achieved_gamma(result.hidden) >= gamma
-
-    def test_infeasible_gamma_raises(self):
-        relation = small_relation()
-        impossible = relation.max_gamma() + 1
-        with pytest.raises(InfeasiblePrivacyError):
-            approx_safe_subset(relation, impossible, budget=10_000)
-
-    def test_width_target_tightens_chosen_subset(self):
-        relation = sampled_relation()
-        result = approx_safe_subset(
-            relation,
-            4,
-            budget=32,
-            min_block_samples=2,
-            target_half_width=1.0,
-        )
-        assert result.ci_half_width <= 1.0
-
-    def test_frontier_supports_approx_solver(self):
-        relation = small_relation(seed=5)
-        exact_points = gamma_cost_frontier(
-            relation, gammas=(2, 3), solver="exact"
-        )
-        approx_points = gamma_cost_frontier(
-            relation, gammas=(2, 3), solver="approx", budget=10_000
-        )
-        assert [
-            (point.gamma, point.cost, point.hidden) for point in exact_points
-        ] == [
-            (point.gamma, point.cost, point.hidden) for point in approx_points
-        ]
-        for point in approx_points:
-            assert point.ci_half_width == 0.0
-            assert point.confidence is not None
-
-
 class TestBackendEquivalence:
     def _payload(self, table: str) -> tuple[int, ...]:
         relation = sampled_relation(rows=200)
@@ -347,34 +244,7 @@ class TestBackendEquivalence:
         ) == {}
 
 
-class TestServiceIntegration:
-    def test_transports_return_identical_intervals(self):
-        relation = small_relation(seed=7)
-        spec = SampleSpec(budget=16, seed=9, min_block_samples=2)
-        vi, vo = relation.visibility_of(("M.in0", "M.out0"))
-        local = kernel_sample_interval(
-            relation.kernel, vi, vo, spec
-        ).to_payload()
-        requests = [(relation.structure_signature, vi, vo)]
-
-        [fallback] = ShardCoordinator(0).sample(requests, spec)
-        assert fallback.interval == local
-
-        with ShardCoordinator(2, task_timeout=60.0) as coordinator:
-            [pooled] = coordinator.sample(requests, spec)
-        assert pooled.interval == local
-        assert pooled.gamma == local[0]
-
-    def test_estimator_dispatches_via_service(self):
-        relation = small_relation(seed=7)
-        direct = ApproxGammaEstimator(relation, budget=16, seed=3).interval(
-            ("M.in0",)
-        )
-        routed = ApproxGammaEstimator(
-            relation, budget=16, seed=3, service=ShardCoordinator(0)
-        ).interval(("M.in0",))
-        assert routed == direct
-
+class TestLocalOnly:
     def test_same_spec_hits_sample_cache(self):
         relation = sampled_relation(rows=120, seed=8)
         estimator = ApproxGammaEstimator(relation, budget=16, seed=4)
@@ -390,39 +260,83 @@ class TestServiceIntegration:
             after["sample_passes"] + 1
         )
 
+    def test_approx_is_not_a_solver(self):
+        with pytest.raises(PrivacyError, match="unknown solver"):
+            solve_safe_subset(small_relation(), 2, solver="approx")
+
+    def test_estimator_takes_no_service(self):
+        with pytest.raises(TypeError):
+            ApproxGammaEstimator(
+                small_relation(), budget=16, service=ShardCoordinator(0)
+            )
+
+    def test_fixed_seed_reproduces_on_a_fresh_kernel(self):
+        # The seed alone fixes the interval: two relations built apart
+        # (so two kernels, two sample caches) answer byte for byte alike,
+        # and the estimator adds nothing to the kernel-level query.
+        spec = SampleSpec(budget=16, seed=9, min_block_samples=2)
+        first, second = small_relation(seed=7), small_relation(seed=7)
+        vi, vo = first.visibility_of(("M.in0", "M.out0"))
+        direct = kernel_sample_interval(first.kernel, vi, vo, spec)
+        again = kernel_sample_interval(second.kernel, vi, vo, spec)
+        assert again.to_payload() == direct.to_payload()
+        estimated = ApproxGammaEstimator(
+            small_relation(seed=7), budget=16, seed=9, min_block_samples=2
+        ).interval(("M.in0", "M.out0"))
+        assert estimated == direct
+
+    def test_frontier_points_are_exact(self):
+        relation = small_relation(seed=5)
+        points = gamma_cost_frontier(relation, gammas=(2, 3))
+        assert [point.gamma for point in points] == [2, 3]
+        for point in points:
+            assert not hasattr(point, "ci_half_width")
+            assert not hasattr(point, "confidence")
+            exact = exact_safe_subset(relation, point.gamma)
+            assert (point.cost, point.hidden) == (exact.cost, exact.hidden)
+            assert point.achieved_gamma == relation.achieved_gamma(point.hidden)
+            assert point.achieved_gamma >= point.gamma
+
 
 class TestWireCompat:
-    def test_plain_task_carries_none_as_sixth_element(self):
+    def test_task_wire_form_has_five_elements(self):
         task = GammaTask(1, "a" * 64, (0,), (1,), "gamma")
         wire = task_to_wire(task)
-        assert len(wire) == 6 and wire[5] is None
+        assert len(wire) == 5
         assert task_from_wire(wire) == task
         with pytest.raises(ServiceError):
-            task_from_wire(wire[:5])
+            task_from_wire(wire[:4])
+        # The old sample form: a 6th element carrying a spec's wire list.
+        with pytest.raises(ServiceError):
+            task_from_wire(wire[:4] + ["sample", [16, 0.95, 0, None, None, None, 8]])
 
-    def test_sample_task_roundtrips_with_spec(self):
-        spec = SampleSpec(budget=33, seed=6, threshold=2)
-        task = GammaTask(2, "b" * 64, (0, 1), (), WANT_SAMPLE, spec)
+    def test_entry_task_keeps_the_five_element_form(self):
+        task = GammaTask(5, "f" * 64, (), (0, 1), WANT_ENTRY)
         wire = task_to_wire(task)
-        assert len(wire) == 6
+        assert wire == [5, "f" * 64, [], [0, 1], WANT_ENTRY]
         assert task_from_wire(wire) == task
+
+    def test_batch_refuses_a_six_element_task(self):
+        plain = task_to_wire(GammaTask(1, "a" * 64, (0,), (1,), "gamma"))
+        assert batch_from_wire([1, 0, 1, [plain], {}]).tasks[0].want == "gamma"
+        with pytest.raises(ServiceError):
+            batch_from_wire([1, 0, 1, [plain + [None]], {}])
 
     def test_task_validation(self):
         with pytest.raises(ServiceError):
-            GammaTask(1, "c" * 64, (0,), (1,), WANT_SAMPLE)
+            GammaTask(1, "c" * 64, (0,), (1,), "sample")
         with pytest.raises(ServiceError):
-            GammaTask(1, "c" * 64, (0,), (1,), "gamma", SampleSpec())
+            task_from_wire([1, "c" * 64, [0], [1], "sample"])
 
-    def test_result_roundtrips_and_rejects_legacy_form(self):
-        result = TaskResult(3, "d" * 64, 2, interval=(2, 5, 16, 1, 0, 3, 3))
+    def test_result_roundtrips_and_rejects_the_six_element_form(self):
+        result = TaskResult(3, "d" * 64, 2, (1, 2), (0, 1, 1))
         wire = result_to_wire(result)
-        assert len(wire) == 6
+        assert len(wire) == 5
         assert result_from_wire(wire) == result
         plain = TaskResult(4, "e" * 64, 7)
-        assert len(result_to_wire(plain)) == 6
-        assert result_from_wire(result_to_wire(plain)).interval is None
+        assert result_from_wire(result_to_wire(plain)) == plain
         with pytest.raises(ServiceError):
-            result_from_wire(result_to_wire(plain)[:5])
+            result_from_wire(result_to_wire(plain) + [[2, 5, 16, 1, 0, 3, 3]])
 
 
 class TestKernelRelationAdapter:

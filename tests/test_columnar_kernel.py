@@ -223,6 +223,31 @@ class TestCoalescedDispatch:
         # The whole point: far fewer IPC round trips than requests.
         assert stats["batches"] < len(requests)
 
+    def test_uncoalesced_batches_report_their_one_request(self):
+        # coalesce=0 takes the same buffered path, flushing at once.
+        with ShardCoordinator(0) as coordinator:
+            coordinator.evaluate(self._workload(seed=47))
+            reports = coordinator.shard_reports()
+            stats = coordinator.service_stats()
+        assert reports and all(report.coalesced_requests == 1 for report in reports)
+        assert stats["coalesced_batches"] == 0 and not coordinator._buffers
+
+    def test_coalesced_requests_is_the_member_count_through_a_worker(self):
+        # One worker, so every request lands on shard 0: at coalesce=0
+        # each submit is its own batch; at coalesce=3 a batch is cut
+        # every third submit and reports all three members.
+        requests = self._workload(seed=52)[:6]
+        for coalesce, members in ((0, 1), (3, 3)):
+            coordinator = ShardCoordinator(1, coalesce=coalesce, task_timeout=60.0)
+            with coordinator:
+                ids = [coordinator.submit([request]) for request in requests]
+                for rid in ids:
+                    coordinator.collect(rid)
+                [report] = coordinator.shard_reports()
+                stats = coordinator.service_stats()
+            assert report.coalesced_requests == members
+            assert stats["batches"] == len(requests) // members
+
     def test_buffered_tasks_flush_on_collect(self):
         requests = self._workload(seed=50)[:5]
         with ShardCoordinator(1, coalesce=10_000) as coordinator:

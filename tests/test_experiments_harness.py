@@ -160,21 +160,27 @@ class TestExperimentRunners:
 
         config = e12_approx.E12Config(
             scales=(64, 256),
-            budgets=(32,),
-            confidences=(0.9,),
             gammas=(2, 4),
-            oracle_max_rows=256,
+            coverage_confidence=0.9,
             coverage_trials=4,
             coverage_rows=80,
             coverage_budget=16,
-            transport_rows=64,
         )
         rows = e12_approx.run(config, seed=5)
-        phases = {row["phase"] for row in rows}
-        assert phases == {"exact", "sweep", "coverage", "transports"}
+        assert [row["phase"] for row in rows] == ["exact", "exact", "coverage"]
+        assert [row["rows"] for row in rows[:2]] == [64, 256]
+        for row in rows[:2]:
+            assert row["build_ms"] >= 0 and row["time_ms"] >= 0
+            assert row["points"] >= 1
+            assert not row.get("extrapolated")
         headline = e12_approx.headline(rows)
-        assert headline["all_match_oracle"]
-        assert headline["all_within_epsilon"]
-        assert headline["all_certified"]
-        assert headline["transports_identical"]
+        assert headline["max_rows"] == 256
+        assert headline["exact_ms_at_max_rows"] == rows[1]["time_ms"]
+        for stale in (
+            "approx_speedup",
+            "approx_speedup_measured",
+            "exact_infeasible_claimed",
+            "transports_identical",
+        ):
+            assert stale not in headline
         assert headline["coverage_meets_nominal"]

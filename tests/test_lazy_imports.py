@@ -44,6 +44,7 @@ DEFERRED = (
     "repro.storage",
     "repro.views",
     "repro.adversary",
+    "repro.privacy.approx",
 )
 
 
@@ -179,6 +180,35 @@ class TestImportBudget:
         # The parser's E1-E12 help reads the registry in the package
         # ``__init__``; no experiment module, figure or workload loads.
         assert _deferred_in(loaded, allowed=("repro.experiments",)) == []
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.service.protocol",
+            "repro.service.coordinator",
+            "repro.service.worker",
+        ],
+    )
+    def test_service_module_loads_no_approx(self, module):
+        loaded = _loaded_after(f"import {module}")
+        assert module in loaded
+        assert "repro.privacy.approx" not in loaded
+
+    def test_client_evaluation_loads_no_approx(self):
+        loaded = _loaded_after(
+            """
+            from repro.privacy.relations import ModuleRelation
+            from repro.service import ShardCoordinator
+
+            relation = ModuleRelation.random("C", seed=3)
+            vi, vo = relation.visibility_of(())
+            with ShardCoordinator(0) as client:
+                [gamma] = client.gammas([(relation.structure_signature, vi, vo)])
+            assert gamma == relation.achieved_gamma(())
+            """
+        )
+        assert "repro.service.coordinator" in loaded
+        assert "repro.privacy.approx" not in loaded
 
     def test_build_parser_imports_no_experiment_module(self):
         loaded = _loaded_after("from repro import cli; cli.build_parser()")

@@ -106,7 +106,7 @@ class TestRandomizedSolver:
 
 class TestDispatcher:
     def test_known_solvers(self, xor_relation):
-        assert set(SOLVERS) == {"exact", "greedy", "randomized", "approx"}
+        assert set(SOLVERS) == {"exact", "greedy", "randomized"}
         for solver in SOLVERS:
             result = solve_safe_subset(xor_relation, 2, solver=solver)
             assert xor_relation.is_safe(result.hidden, 2)

@@ -425,6 +425,27 @@ class TestSecureViewIntegration:
         # Restricting to already-satisfied indices skips the others.
         assert requirements.unsatisfied_indices((), indices=()) == ()
 
+    def test_single_module_checks_stay_on_the_local_kernel(self):
+        class CountingService:
+            def __init__(self):
+                self.calls = 0
+                self.inner = ShardCoordinator(0)
+
+            def gammas(self, requests):
+                self.calls += 1
+                return self.inner.gammas(requests)
+
+        requirements = self._requirements()
+        service = CountingService()
+        local = requirements.unsatisfied_indices(())
+        assert requirements.unsatisfied_indices((), service=service) == local
+        assert service.calls == 1
+        for index in range(len(requirements.requirements)):
+            assert requirements.unsatisfied_indices(
+                (), indices=(index,), service=service
+            ) == requirements.unsatisfied_indices((), indices=(index,))
+        assert service.calls == 1
+
     def test_workflow_guarantees_with_service_match_local(self, sharded):
         requirements = self._requirements()
         result = exact_secure_view(requirements)

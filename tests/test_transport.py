@@ -197,8 +197,18 @@ _SIZES = [[2, 2], [2]]
 _INPUTS = ((0, 1, 0, 1), (0, 0, 1, 1))
 _SOUND = RelationStructure((2, 2), (2,), _INPUTS, ((1, 0, 0, 1),))
 
-#: Validly framed, validly pickled payloads that are not messages, or
-#: carry a structure the sender never declared consistently.
+
+def _sound_batch(task_wire: list) -> list:
+    """A batch shipping ``_SOUND`` under its own signature with one task."""
+    return [
+        "batch",
+        [1, 0, 1, [task_wire], {_SOUND.signature: structure_to_wire(_SOUND)}],
+    ]
+
+
+#: Validly framed, validly pickled payloads that are not messages, carry
+#: a structure the sender never declared consistently, or ask for a task
+#: form the wire does not have.
 MALFORMED_PAYLOADS = (
     ["batch", [1]],
     [],
@@ -217,6 +227,12 @@ MALFORMED_PAYLOADS = (
     _self_signed(_INPUTS, ((1, 0, -1, 1),)),
     # A warm-handoff import filing a structure under another signature.
     ["import", {"0" * 32: [structure_to_wire(_SOUND), []]}],
+    # Sampled-Gamma tasks: the 6-element form carrying a sample spec's
+    # wire list, and a 5-element task with want="sample".
+    _sound_batch(
+        [1, _SOUND.signature, [0], [0], "sample", [64, 0.95, 0, None, None, None, 8]]
+    ),
+    _sound_batch([1, _SOUND.signature, [0], [0], "sample"]),
 )
 
 
@@ -247,6 +263,34 @@ class TestDataOnlyFrames:
                 assert client.gammas(entry_requests(relation)) == baseline
         assert not victim.exists()
         assert uncaught == []
+
+    @pytest.mark.parametrize("want", ["gamma", "entry"])
+    def test_sound_batch_with_a_plain_task_is_answered(self, tmp_path, want):
+        # The control for the refused task forms above: the same batch
+        # with a 5-element task of a kept ``want`` gets its result.
+        partition, counts, gamma = (
+            GammaKernelRegistry().kernel_for(_SOUND).entry((0,), (0,))
+        )
+        with GammaServer(("unix", str(tmp_path / "open.sock"))) as server:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(5.0)
+            sock.connect(server.address[1])
+            try:
+                wire = _sound_batch([1, _SOUND.signature, [0], [0], want])
+                sock.sendall(raw_frame(pickle.dumps(wire)))
+                kind, _, batch_id, results, _ = read_frame(sock)
+            finally:
+                sock.close()
+            assert server.stats()["server_errors"] == 0
+        assert (kind, batch_id) == (MSG_BATCH, 1)
+        [result] = results
+        assert result.task_id == 1 and result.signature == _SOUND.signature
+        assert result.gamma == gamma
+        if want == "entry":
+            assert result.counts == tuple(int(c) for c in counts)
+            assert result.partition == tuple(int(b) for b in partition)
+        else:
+            assert result.counts is None and result.partition is None
 
     def test_code_carrying_reply_is_refused_by_the_client(self, tmp_path):
         victim = tmp_path / "created-by-a-reply"
