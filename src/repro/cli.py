@@ -204,7 +204,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy = PolicyTable.single_token(args.auth_token)
     server = GammaServer(
         address,
-        workers=args.workers,
         budget_bytes=args.budget_bytes,
         total_budget_bytes=args.total_budget_bytes,
         snapshot_dir=args.snapshot_dir,
@@ -217,8 +216,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if policy is not None:
         security += "+token"
     print(f"gamma server listening on {server.address} "
-          f"(workers={args.workers}, snapshot_dir={args.snapshot_dir}, "
-          f"security={security})")
+          f"(snapshot_dir={args.snapshot_dir}, security={security})")
     # SIGTERM (kill, supervisors, container stop) takes the same orderly
     # path as Ctrl-C: close() snapshots warm kernels and unlinks the socket.
     previous = signal.signal(signal.SIGTERM, _interrupt)
@@ -368,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--unix", help="unix socket path to listen on")
     serve.add_argument("--host", default="127.0.0.1", help="TCP bind host")
     serve.add_argument("--port", type=int, default=7441, help="TCP bind port")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="backend worker processes (0 = in-process registry)",
-    )
     serve.add_argument("--budget-bytes", type=int, default=None,
                        help="per-kernel cache byte budget")
     serve.add_argument("--total-budget-bytes", type=int, default=None,

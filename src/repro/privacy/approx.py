@@ -218,18 +218,6 @@ class GammaInterval:
         """Whether ``gamma`` lies inside the interval."""
         return self.lower <= gamma <= self.upper
 
-    def to_payload(self) -> tuple[int, ...]:
-        """Pure-int tuple form (the kernel LRU caches this)."""
-        return (
-            self.lower,
-            self.upper,
-            self.samples_used,
-            self.rounds,
-            int(self.exact),
-            self.blocks,
-            self.sampled_blocks,
-        )
-
     @classmethod
     def from_payload(
         cls, payload: Iterable[int], confidence: float

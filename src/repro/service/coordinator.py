@@ -16,9 +16,9 @@ federated pool of servers routed by structure signature
 (``endpoints=[...]`` -- :class:`~repro.service.pool.PooledTransport`).
 
 The coordinator is thread-safe: a reentrant lock serializes dispatch
-bookkeeping and the result pump, so the fair-scheduling server's
-dispatcher threads share one coordinator (and one worker pool's warm
-kernels) while multiprocess shards evaluate genuinely in parallel.
+bookkeeping and the result pump, so several client threads may share
+one coordinator (and one worker pool's warm kernels) while multiprocess
+shards evaluate genuinely in parallel.
 
 Two client APIs:
 
@@ -245,11 +245,11 @@ class ShardCoordinator:
         self._structure_reloads = 0
         self._closed = False
         #: Serializes dispatch bookkeeping and the result pump, so several
-        #: threads (the fair server's dispatchers) may submit/collect
-        #: concurrently.  Reentrant: evaluate() -> collect() -> _pump all
-        #: run under one holder.  Evaluation itself is only serialized on
-        #: the in-process transport (whose submit computes synchronously
-        #: under this lock -- the registry is not thread-safe); remote and
+        #: client threads may submit/collect concurrently.  Reentrant:
+        #: evaluate() -> collect() -> _pump all run under one holder.
+        #: Evaluation itself is only serialized on the in-process
+        #: transport (whose submit computes synchronously under this
+        #: lock -- the registry is not thread-safe); remote and
         #: multiprocess shards keep evaluating in parallel because the
         #: lock is released while their processes work and only taken for
         #: the 50 ms poll slices of the pump.
@@ -783,30 +783,6 @@ class ShardCoordinator:
             if value is not None:
                 stats[gauge] = value
         return stats
-
-    # ------------------------------------------------------------------ #
-    # Warm-handoff delegation (server-side backend of MSG_EXPORT/IMPORT)
-    # ------------------------------------------------------------------ #
-    def export_kernel_entries(self, signatures: Iterable[str]) -> dict:
-        """Export the named kernels' warm state, when the transport can.
-
-        Transports without exportable local state (multiprocess shards)
-        return an empty payload: the handoff degrades to a cold start
-        instead of failing.
-        """
-        with self._lock:
-            exporter = getattr(self.transport, "export_kernel_entries", None)
-            if exporter is None:
-                return {}
-            return exporter(signatures)
-
-    def import_kernel_entries(self, payload: dict) -> int:
-        """Import exported kernels; returns entries landed (0 if unsupported)."""
-        with self._lock:
-            importer = getattr(self.transport, "import_kernel_entries", None)
-            if importer is None:
-                return 0
-            return importer(payload)
 
     # ------------------------------------------------------------------ #
     # Fault injection and shutdown

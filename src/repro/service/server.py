@@ -6,10 +6,10 @@ machine boundaries; this module is that endpoint for Gamma evaluation.
 ``repro serve`` (or :class:`GammaServer` embedded in tests) listens on a
 unix-domain socket and/or a TCP port, speaks the length-prefixed frame
 protocol of :mod:`repro.service.protocol`, and serves every connected
-client from one shared, snapshot-backed
-:class:`~repro.service.coordinator.ShardCoordinator` backend -- so the
-kernels one tenant warmed are hits for every other tenant with a
-structurally identical module.
+client from one shared, snapshot-backed kernel registry (an
+:class:`~repro.service.transport.InProcessTransport`) -- so the kernels
+one tenant warmed are hits for every other tenant with a structurally
+identical module.
 
 Handled frames (one reply per request):
 
@@ -28,7 +28,7 @@ parses frames and answers the cheap ones (``need`` re-ships, stats,
 stop) inline; batch evaluations go through a **deficit-weighted fair
 scheduler** -- every connection owns a bounded request queue (a full
 queue blocks only that client's reader: natural per-tenant
-backpressure), and a pool of dispatcher threads drains the queues by
+backpressure), and one dispatcher thread drains the queues by
 *deficit round-robin over estimated batch cost*: each tenant accrues
 ``weight x quantum`` dispatch credit per scheduler round and each
 dispatched batch debits its estimated cost (``rows x visible subsets``
@@ -44,13 +44,17 @@ instead of blocking the reader forever.  Each completed batch's
 :class:`ShardReport` is stamped with the tenant's identity, queue depth
 at arrival and the time the batch waited before dispatch
 (``queue_depth`` / ``queue_wait_ms``), and ``stats`` exposes the
-aggregate and per-tenant gauges.  Backend parallelism follows the
-backend's sharding: with a multiprocess backend the dispatcher pool is
-sized to the worker count and per-shard serialization is enforced by
-each worker draining its own task queue (the coordinator itself is
-thread-safe); with the in-process backend evaluation serializes on the
-coordinator's lock (the kernel registry is not thread-safe) and one
-dispatcher suffices.
+aggregate and per-tenant gauges.
+
+One evaluation hop: Gamma depends only on a module's own relation and
+visibility, so a decoded batch whose structures the cache resolved has
+nothing left to route -- the dispatcher hands it straight to the
+registry's :meth:`~repro.service.transport.InProcessTransport.evaluate`,
+and the reply carries the client's task ids and per-task ``want``
+unchanged.  The registry is not thread-safe: one lock serializes the
+dispatcher's evaluations with the readers' ``export``, ``import`` and
+``stats``.  Multi-core serving is several ``repro serve`` processes
+behind one ``ShardCoordinator(endpoints=[...])`` client.
 
 Security: ``tls_cert``/``tls_key`` wrap every accepted connection in
 server-side TLS (optionally verifying client certificates against
@@ -83,7 +87,6 @@ from typing import Mapping
 
 from repro.errors import ServiceError
 from repro.privacy.kernel_registry import RelationStructure
-from repro.service.coordinator import ShardCoordinator
 from repro.service.protocol import (
     MSG_BATCH,
     MSG_ERROR,
@@ -98,8 +101,6 @@ from repro.service.protocol import (
     MSG_STATS,
     MSG_STOP,
     MSG_STOPPED,
-    WANT_ENTRY,
-    WANT_GAMMA,
     GammaBatch,
     ShardReport,
     TaskResult,
@@ -115,7 +116,7 @@ from repro.service.security import (
     read_token_preamble,
     send_auth_reply,
 )
-from repro.service.transport import parse_address
+from repro.service.transport import InProcessTransport, parse_address
 
 #: Default cap on the server-side structure LRU (shared across clients).
 DEFAULT_SERVER_STRUCTURES = 4096
@@ -125,9 +126,6 @@ DEFAULT_SERVER_STRUCTURES = 4096
 #: dispatch credit, and sheds with an ``overload`` reply once it does
 #: not.  Per-tenant quotas in the policy table override it.
 DEFAULT_TENANT_QUEUE = 32
-
-#: Hard cap on dispatcher threads, whatever the backend worker count.
-MAX_DISPATCHERS = 8
 
 #: Recent queue waits kept for the stats percentiles.
 WAIT_WINDOW = 2048
@@ -620,16 +618,13 @@ class _FairScheduler:
 
 
 class GammaServer:
-    """Socket front-end over a shared :class:`ShardCoordinator` backend.
+    """Socket front-end over one shared, snapshot-backed kernel registry.
 
     ``address`` accepts the forms of
     :func:`repro.service.transport.parse_address`; TCP port 0 picks a
     free port (read the bound address back from :attr:`address`).
-    ``workers`` configures the backend: 0 serves from one in-process
-    registry, N shards across a local worker pool.  ``fair_dispatchers``
-    sizes the scheduler's dispatcher pool (default: one per backend
-    worker, capped at :data:`MAX_DISPATCHERS`; 1 for the in-process
-    backend, whose registry admits no concurrent evaluation anyway);
+    ``budget_bytes``/``total_budget_bytes``/``snapshot_dir`` configure
+    the registry (an :class:`~repro.service.transport.InProcessTransport`);
     ``max_queue_depth`` bounds each tenant's request queue (per-tenant
     quotas in ``policy`` override it).
 
@@ -647,14 +642,12 @@ class GammaServer:
         self,
         address: str | tuple,
         *,
-        workers: int = 0,
         budget_bytes: int | None = None,
         total_budget_bytes: int | None = None,
         snapshot_dir: str | None = None,
         structure_cache_size: int = DEFAULT_SERVER_STRUCTURES,
         allow_remote_stop: bool = True,
         backlog: int = 16,
-        fair_dispatchers: int | None = None,
         max_queue_depth: int = DEFAULT_TENANT_QUEUE,
         tls_cert: str | None = None,
         tls_key: str | None = None,
@@ -685,21 +678,15 @@ class GammaServer:
         self.structure_cache_size = int(structure_cache_size)
         self._structures: "OrderedDict[str, RelationStructure]" = OrderedDict()
         self._structures_lock = threading.Lock()
-        self._backend = ShardCoordinator(
-            workers,
+        self._backend = InProcessTransport(
             budget_bytes=budget_bytes,
             total_budget_bytes=total_budget_bytes,
             snapshot_dir=snapshot_dir,
         )
-        if fair_dispatchers is None:
-            # Parallel dispatch only pays when backend shards can compute
-            # concurrently (one dispatcher can keep one shard busy).
-            fair_dispatchers = min(max(1, workers), MAX_DISPATCHERS)
-        if fair_dispatchers < 1:
-            raise ServiceError("the scheduler needs at least one dispatcher")
-        self._scheduler = _FairScheduler(
-            self._dispatch_item, fair_dispatchers, max_queue_depth
-        )
+        #: Serializes every registry touch: the dispatcher's evaluations
+        #: and the readers' export, import and stats.
+        self._backend_lock = threading.Lock()
+        self._scheduler = _FairScheduler(self._dispatch_item, 1, max_queue_depth)
         self._tenant_ids = itertools.count(1)
         self._stop_event = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -708,9 +695,6 @@ class GammaServer:
         self._unix_path: str | None = None
         self._accept_thread: threading.Thread | None = None
         self._closed = False
-        #: Thread-safe batch counter: concurrent dispatchers is the fair
-        #: scheduler's designed common case, and `+= 1` loses increments.
-        self._batch_counter = itertools.count(1)
         self._batches_served = 0
         self._clients_served = 0
         #: Unexpected server-side failures (reply-encode poison, dispatch
@@ -811,7 +795,8 @@ class GammaServer:
         if self._unix_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(self._unix_path)
-        self._backend.close(snapshot=snapshot)
+        with self._backend_lock:
+            self._backend.close(snapshot=snapshot)
 
     def __enter__(self) -> "GammaServer":
         return self.start()
@@ -878,50 +863,13 @@ class GammaServer:
     def _evaluate(
         self, batch: GammaBatch, structures: dict[str, RelationStructure]
     ) -> tuple[tuple[TaskResult, ...], ShardReport]:
-        want_entry = any(task.want == WANT_ENTRY for task in batch.tasks)
-        # The coordinator is thread-safe; concurrent dispatchers evaluate
-        # in parallel wherever the backend's shards allow it.
-        results = []
-        if batch.tasks:
-            backend_results = self._backend.evaluate(
-                [
-                    (
-                        structures[task.signature],
-                        task.visible_inputs,
-                        task.visible_outputs,
-                    )
-                    for task in batch.tasks
-                ],
-                want=WANT_ENTRY if want_entry else WANT_GAMMA,
+        """The batch, with its structures resolved, against the registry."""
+        with self._backend_lock:
+            results, report = self._backend.evaluate(
+                replace(batch, structures=structures)
             )
-            for task, backend_result in zip(batch.tasks, backend_results):
-                if task.want == WANT_ENTRY:
-                    results.append(
-                        TaskResult(
-                            task.task_id,
-                            task.signature,
-                            backend_result.gamma,
-                            backend_result.counts,
-                            backend_result.partition,
-                        )
-                    )
-                else:
-                    results.append(
-                        TaskResult(task.task_id, task.signature, backend_result.gamma)
-                    )
-        # Neither call rebuilds registry stats: the backend hands out the
-        # stats it built for the batches just evaluated.
-        kernel_stats = self._backend.kernel_stats()
-        preloaded = self._backend.preloaded_entries
-        self._batches_served = next(self._batch_counter)
-        report = ShardReport(
-            shard_id=batch.shard_id,
-            batch_id=batch.batch_id,
-            completed=len(results),
-            kernel_stats=kernel_stats,
-            preloaded_entries=preloaded,
-        )
-        return tuple(results), report
+            self._batches_served += 1
+        return results, report
 
     def _count_server_error(self) -> None:
         with self._error_lock:
@@ -935,9 +883,10 @@ class GammaServer:
 
     def stats(self) -> dict[str, object]:
         """Service-wide stats (kernel counters + server/fairness gauges)."""
-        stats: dict[str, object] = dict(self._backend.kernel_stats())
-        stats["preloaded"] = self._backend.preloaded_entries
-        stats["server_batches"] = self._batches_served
+        with self._backend_lock:
+            stats: dict[str, object] = self._backend.live_kernel_stats()
+            stats["preloaded"] = self._backend.preloaded_entries
+            stats["server_batches"] = self._batches_served
         stats["server_clients"] = self._clients_served
         stats["server_tenants"] = self._scheduler.tenant_count()
         stats["server_queue_depth"] = self._scheduler.queue_depth()
@@ -1181,10 +1130,12 @@ class GammaServer:
             # is busy evaluating.
             return tenant.send((MSG_PONG, 0))
         if kind == MSG_EXPORT:
-            payload = self._backend.export_kernel_entries(message[1])
+            with self._backend_lock:
+                payload = self._backend.export_kernel_entries(message[1])
             return tenant.send((MSG_EXPORTED, payload))
         if kind == MSG_IMPORT:
-            imported = self._backend.import_kernel_entries(message[1])
+            with self._backend_lock:
+                imported = self._backend.import_kernel_entries(message[1])
             self._register_imported_structures(message[1])
             return tenant.send((MSG_IMPORTED, imported))
         if kind == MSG_STOP:
@@ -1195,7 +1146,4 @@ class GammaServer:
         return tenant.send((MSG_ERROR, 0, 0, f"unknown message kind {kind!r}"))
 
     def __repr__(self) -> str:
-        return (
-            f"GammaServer({self.address}, backend={self._backend!r}, "
-            f"batches={self._batches_served})"
-        )
+        return f"GammaServer({self.address}, batches={self._batches_served})"

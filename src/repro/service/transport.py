@@ -75,6 +75,7 @@ from repro.service.protocol import (
     GammaBatch,
     ShardReport,
     ShmTableRef,
+    TaskResult,
     decode_frame_from_buffer,
     read_frame,
     write_frame,
@@ -291,7 +292,8 @@ class InProcessTransport(Transport):
     literally the code a worker process would run -- and queues the
     completion message for ``poll``, so the coordinator drives the
     in-process and sharded paths through one code path and the results
-    are byte-identical by construction.
+    are byte-identical by construction.  The socket server owns one of
+    these as its registry and calls :meth:`evaluate` per batch.
     """
 
     name = "inprocess"
@@ -343,20 +345,34 @@ class InProcessTransport(Transport):
             **self.registry.aggregate_counters(),
         }
 
-    def submit(self, batch: GammaBatch) -> None:
+    def evaluate(
+        self, batch: GammaBatch
+    ) -> tuple[tuple[TaskResult, ...], ShardReport]:
+        """Evaluate one batch: ``(results, report)``.
+
+        Each result keeps its task's id and answers its task's own
+        ``want``.  :meth:`submit` queues the pair as a completion
+        message; the socket server calls this directly on every batch
+        it dispatches, with the batch's structures resolved from its
+        structure cache.
+        """
         try:
             results = process_batch(batch, self._kernels, self.registry)
         finally:
             # Even a failed batch may have warmed kernels.
             self._stats = self._registry_stats()
         report = ShardReport(
-            shard_id=0,
+            shard_id=batch.shard_id,
             batch_id=batch.batch_id,
             completed=len(results),
             kernel_stats=self._stats,
             preloaded_entries=self._preloaded,
         )
-        self._ready.append((MSG_BATCH, 0, batch.batch_id, results, report))
+        return results, report
+
+    def submit(self, batch: GammaBatch) -> None:
+        results, report = self.evaluate(batch)
+        self._ready.append((MSG_BATCH, batch.shard_id, batch.batch_id, results, report))
 
     def poll(self, timeout: float) -> tuple | None:
         return self._ready.popleft() if self._ready else None

@@ -111,7 +111,18 @@ class ShmAttachments:
         return structure, table
 
     def close(self) -> None:
-        """Detach from every segment (tables must not be used after)."""
+        """Detach from every segment (tables must not be used after).
+
+        The caller drops its references to the zero-copy views first;
+        views still held in reference cycles (kernels and the registry
+        point at each other) are collected here, because mmap.close()
+        raises BufferError while numpy arrays still export pointers into
+        the buffer.  A worker that attached nothing skips the full-heap
+        collection.
+        """
+        if not self._segments:
+            return
+        gc.collect()
         for segment in self._segments.values():
             try:
                 segment.close()  # type: ignore[attr-defined]
@@ -190,6 +201,10 @@ def serve_shard(
     snapshot_dir: str | None,
 ) -> None:
     """The worker process entry point (must stay module-level picklable)."""
+    # A forked worker inherits its parent's whole heap.  Freezing it
+    # keeps every later collection -- the shutdown one included -- to
+    # the objects this worker creates.
+    gc.freeze()
     registry = GammaKernelRegistry(
         budget_bytes=budget_bytes, total_budget_bytes=total_budget_bytes
     )
@@ -211,11 +226,8 @@ def serve_shard(
             if store is not None:
                 store.snapshot_registry(registry)
             # Drop every zero-copy view (kernel tables and the structures
-            # over the same matrices) before detaching from the segments:
-            # mmap.close() raises BufferError while numpy arrays still
-            # export pointers into the buffer.
+            # over the same matrices) before detaching from the segments.
             del registry, store, kernels
-            gc.collect()
             attachments.close()
             result_queue.put((MSG_STOPPED, shard_id))
             return

@@ -177,7 +177,7 @@ class TestIntervalSoundness:
                 ).interval(hidden)
                 assert box.exact
                 assert box.lower == box.upper == exact
-                payloads.add(box.to_payload())
+                payloads.add(box)
             # Exhaustion erases the seed: byte-for-byte identical.
             assert len(payloads) == 1
 
@@ -191,6 +191,17 @@ class TestIntervalSoundness:
             assert not (box.lower < threshold <= box.upper)
 
     def test_interval_payload_roundtrip(self):
+        relation = sampled_relation(rows=200)
+        spec = SampleSpec(budget=24, seed=2, min_block_samples=2)
+        vi, vo = relation.visibility_of(("i0", "o1"))
+        interval = kernel_sample_interval(relation.kernel, vi, vo, spec)
+        # The payload the kernel LRU cached for this interval: a miss
+        # here would mean the lookup key drifted from the one it used.
+        cached = relation.kernel.sample_entry(
+            (vi, vo) + spec.cache_token(),
+            lambda: pytest.fail("the interval payload was not cached"),
+        )
+        assert GammaInterval.from_payload(cached, spec.confidence) == interval
         box = GammaInterval(
             lower=2,
             upper=7,
@@ -201,7 +212,6 @@ class TestIntervalSoundness:
             blocks=9,
             sampled_blocks=4,
         )
-        assert GammaInterval.from_payload(box.to_payload(), 0.95) == box
         assert box.half_width == 2.5
         assert box.contains(2) and box.contains(7) and not box.contains(8)
 
@@ -211,15 +221,15 @@ class TestIntervalSoundness:
 
 
 class TestBackendEquivalence:
-    def _payload(self, table: str) -> tuple[int, ...]:
+    def _interval(self, table: str) -> GammaInterval:
         relation = sampled_relation(rows=200)
         use_table(relation.kernel, table)
         spec = SampleSpec(budget=24, seed=2, min_block_samples=2)
         vi, vo = relation.visibility_of(("i0", "o1"))
-        return kernel_sample_interval(relation.kernel, vi, vo, spec).to_payload()
+        return kernel_sample_interval(relation.kernel, vi, vo, spec)
 
     def test_interval_payloads_identical_across_backends(self):
-        assert self._payload("pure") == self._payload("numpy")
+        assert self._interval("pure") == self._interval("numpy")
 
     @pytest.mark.parametrize("table", ["pure", "numpy"])
     def test_exhaust_matches_full_sample(self, table):
@@ -279,7 +289,7 @@ class TestLocalOnly:
         vi, vo = first.visibility_of(("M.in0", "M.out0"))
         direct = kernel_sample_interval(first.kernel, vi, vo, spec)
         again = kernel_sample_interval(second.kernel, vi, vo, spec)
-        assert again.to_payload() == direct.to_payload()
+        assert again == direct
         estimated = ApproxGammaEstimator(
             small_relation(seed=7), budget=16, seed=9, min_block_samples=2
         ).interval(("M.in0", "M.out0"))

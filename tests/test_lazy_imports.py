@@ -177,6 +177,8 @@ class TestImportBudget:
             """
         )
         assert "repro.service.server" in loaded
+        # The server evaluates against its own registry: no coordinator.
+        assert "repro.service.coordinator" not in loaded
         # The parser's E1-E12 help reads the registry in the package
         # ``__init__``; no experiment module, figure or workload loads.
         assert _deferred_in(loaded, allowed=("repro.experiments",)) == []
