@@ -8,11 +8,11 @@ measures the service that spreads the work across *processes*
 * **workers** -- 0 (the in-process fallback, also the correctness
   oracle) versus sharded worker pools;
 * **dispatch** -- on multi-worker cells, the PR 6 **legacy** path (one
-  IPC round trip per request, row tables value-shipped) versus the
-  **coalesced** path (per-shard buffers flush many requests as one
-  batch; row tables publish once through shared memory).  Requests are submitted one visibility pair at a time --
-  the pipelined access pattern of the secure-view solver -- so the
-  axis isolates exactly the per-request dispatch overhead the
+  IPC round trip per request) versus the **coalesced** path (per-shard
+  buffers flush many requests as one batch).  Both ship row tables by
+  value, once per shard.  Requests are submitted one visibility pair at
+  a time -- the pipelined access pattern of the secure-view solver --
+  so the axis isolates exactly the per-request dispatch overhead the
   coalescer amortises;
 * **workload size** -- how many distinct module structures are swept
   (each evaluated on every visibility pair, the access pattern of a
@@ -155,11 +155,10 @@ def run(
                             f"m{module_count}-b{_budget_label(budget)}"
                             f"-w{worker_count}-{dispatch}"
                         )
-                        # legacy is the PR 6 path: one batch per request,
-                        # row tables value-shipped; coalesced buffers and
-                        # publishes tables through shared memory.
+                        # legacy sends one batch per request;
+                        # coalesced buffers per shard.
                         dispatch_kwargs: dict = (
-                            {"coalesce": 0, "shm_tables": False}
+                            {"coalesce": 0}
                             if dispatch == "legacy"
                             else {"coalesce": config.coalesce}
                             if dispatch == "coalesced"
@@ -249,7 +248,7 @@ def headline(rows: ResultTable) -> dict[str, float]:
     ``coalesced_speedup`` is the best coalesced-dispatch cold-start
     speedup over the legacy (PR 6, one round trip per request) path on
     the same multi-worker cells -- the number that isolates what batch
-    coalescing plus shared-memory tables buy; ``warm_skip_fraction`` is
+    coalescing alone buys; ``warm_skip_fraction`` is
     the fraction of cold partition/grouping work that warm restarts
     avoided, aggregated over the whole sweep.
     """

@@ -21,12 +21,8 @@ also accept tuples: counts too large for ``int64`` stay python ints,
 strata offsets are tuples, and the test suite's tuple/dict reference
 table plugs into a kernel through
 :meth:`~repro.privacy.kernel_registry.SharedGammaKernel.install_table`.
-
-A table can additionally be *packed* into (and attached zero-copy
-from) a flat ``int64`` buffer -- the representation
-:class:`~repro.service.transport.MultiprocessTransport` publishes via
-``multiprocessing.shared_memory`` so worker processes map the canonical
-row table instead of unpickling a copy per structure ship.
+A kernel builds its table with :func:`build_table`, as a view over its
+structure's own matrices; a worker process gets that structure by value.
 """
 
 from __future__ import annotations
@@ -152,9 +148,7 @@ class NumpyTable:
 
     ``input_matrix``/``output_matrix`` hold one attribute per matrix row
     and one relation row per column.  They are never written: a table
-    shares its structure's read-only matrices, or *borrows* read-only
-    views of an external buffer (a shared-memory segment), in which case
-    the caller keeps the buffer alive for the table's lifetime.
+    shares its structure's read-only matrices.
     """
 
     __slots__ = (
@@ -187,49 +181,6 @@ class NumpyTable:
             structure.output_columns,
             structure.input_domain_sizes,
             structure.output_domain_sizes,
-        )
-
-    # -- zero-copy packing (shared-memory shipping) ----------------------
-    @property
-    def packed_nbytes(self) -> int:
-        """Bytes of the flat buffer :meth:`pack_into` fills."""
-        return int(self.input_matrix.nbytes + self.output_matrix.nbytes)
-
-    def pack_into(self, buffer) -> None:
-        """Copy both matrices into ``buffer`` (input block, then output)."""
-        flat = np.frombuffer(buffer, dtype=np.int64, count=self.packed_nbytes // 8)
-        split = self.input_matrix.size
-        flat[:split] = self.input_matrix.reshape(-1)
-        flat[split : split + self.output_matrix.size] = self.output_matrix.reshape(-1)
-
-    @classmethod
-    def from_buffer(
-        cls,
-        buffer,
-        input_shape: tuple[int, int],
-        output_shape: tuple[int, int],
-        input_domain_sizes: tuple[int, ...],
-        output_domain_sizes: tuple[int, ...],
-    ) -> "NumpyTable":
-        """Attach to a packed buffer zero-copy (read-only views).
-
-        The caller owns ``buffer`` (e.g. keeps the shared-memory segment
-        open) for as long as the table is used.
-        """
-        input_cells = input_shape[0] * input_shape[1]
-        output_cells = output_shape[0] * output_shape[1]
-        flat = np.frombuffer(
-            buffer, dtype=np.int64, count=input_cells + output_cells
-        )
-        input_matrix = flat[:input_cells].reshape(input_shape)
-        output_matrix = flat[input_cells:].reshape(output_shape)
-        input_matrix.flags.writeable = False
-        output_matrix.flags.writeable = False
-        return cls(
-            input_matrix,
-            output_matrix,
-            tuple(input_domain_sizes),
-            tuple(output_domain_sizes),
         )
 
     # -- evaluation primitives -------------------------------------------

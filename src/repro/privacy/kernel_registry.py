@@ -285,8 +285,8 @@ class SharedGammaKernel:
         self.structure = structure
         self.budget_bytes = budget_bytes
         #: Columnar evaluation table, built lazily on the first evaluation
-        #: so preload-only kernels never pay for it, or installed
-        #: externally (zero-copy shared-memory attach).
+        #: so preload-only kernels never pay for it, or installed by a
+        #: test through :meth:`install_table`.
         self._table: object | None = None
         #: Registry charged for this kernel's entries (registry-wide LRU);
         #: ``None`` for private kernels and per-kernel-budget registries.
@@ -318,16 +318,12 @@ class SharedGammaKernel:
         return self._table
 
     def install_table(self, table) -> None:
-        """Back this kernel with an externally built table.
+        """Back this kernel with an externally built table (test hook).
 
-        The multiprocess workers install zero-copy
-        :class:`~repro.privacy.columnar.NumpyTable` views over a
-        shared-memory segment here instead of letting the kernel build
-        its own copy of the canonical row table, and the test suite
-        installs its tuple/dict reference table to compare entries and
-        eviction sequences.  The caller guarantees the table matches
-        :attr:`structure` and keeps any underlying buffer alive for the
-        kernel's lifetime.
+        The test suite installs its tuple/dict reference table here to
+        compare entries and eviction sequences with the numpy table the
+        kernel would build itself.  The caller guarantees the table
+        matches :attr:`structure`.
         """
         self._table = table
 

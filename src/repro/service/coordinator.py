@@ -38,11 +38,9 @@ shard and a shard's buffer flushes as one batch once it holds
 IPC round trip carrying the tasks of several requests); the default
 ``coalesce=0`` flushes each submit's shard batches at once.  Completion
 is tracked per task, so requests sharing a batch still complete and
-fail independently.  The multiprocess transport additionally
-publishes each canonical row table once through
-:mod:`multiprocessing.shared_memory` and ships a zero-copy
-:class:`~repro.service.protocol.ShmTableRef` instead of re-serialising
-rows per shard (``shm_tables=False`` restores value shipping).
+fail independently.  Every transport ships a structure by value, once
+per shard: a multiprocess worker unpickles its own copy of the two
+column matrices.
 
 The coordinator serves exact Gamma only (``want`` is ``"gamma"`` or
 ``"entry"``); sampled Gamma intervals are a local query of
@@ -166,7 +164,6 @@ class ShardCoordinator:
         rebalance: bool = True,
         ring_slack: int = 1,
         coalesce: int = 0,
-        shm_tables: bool = True,
         tls_ca: str | None = None,
         ssl_context=None,
         auth_token: str | None = None,
@@ -188,7 +185,6 @@ class ShardCoordinator:
                 probe_interval=probe_interval,
                 rebalance=rebalance,
                 ring_slack=ring_slack,
-                shm_tables=shm_tables,
                 tls_ca=tls_ca,
                 ssl_context=ssl_context,
                 auth_token=auth_token,

@@ -149,32 +149,6 @@ class GammaBatch:
 
 
 @dataclass(frozen=True)
-class ShmTableRef:
-    """A canonical row table published in a shared-memory segment.
-
-    :class:`~repro.service.transport.MultiprocessTransport` substitutes
-    one of these for the :class:`RelationStructure` in
-    ``GammaBatch.structures`` when shipping to a worker on the same
-    machine: the coordinator packs the structure's column matrices into
-    a ``multiprocessing.shared_memory`` segment once, and every worker
-    attaches zero-copy by name instead of unpickling its own copy of
-    the row table.  The ref carries the shapes and domain sizes needed
-    to map the buffer (see
-    :meth:`~repro.privacy.columnar.NumpyTable.from_buffer`) plus the
-    structure ``signature`` for registry keying and an integrity check.
-    The segment is owned (created and unlinked) by the transport;
-    workers only attach and close.
-    """
-
-    signature: str
-    shm_name: str
-    input_shape: tuple[int, int]
-    output_shape: tuple[int, int]
-    input_domain_sizes: tuple[int, ...]
-    output_domain_sizes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class TaskResult:
     """The outcome of one :class:`GammaTask`.
 

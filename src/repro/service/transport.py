@@ -50,14 +50,11 @@ import socket
 import ssl
 import time
 from collections import deque
-from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ServiceAuthError, ServiceError, WorkerCrashError
-from repro.privacy import columnar
 from repro.privacy.kernel_registry import (
     GammaKernelRegistry,
-    RelationStructure,
     SharedGammaKernel,
 )
 from repro.service.persistence import KernelSnapshotStore
@@ -74,7 +71,6 @@ from repro.service.protocol import (
     SHUTDOWN,
     GammaBatch,
     ShardReport,
-    ShmTableRef,
     TaskResult,
     decode_frame_from_buffer,
     read_frame,
@@ -461,15 +457,6 @@ class MultiprocessTransport(Transport):
     -- see :func:`~repro.service.worker.serve_shard`.  A dead worker is
     detected by liveness probe, replaced with a fresh queue, and its
     shipped-structure set reset so the coordinator re-ships.
-
-    With ``shm_tables`` on (the default) the canonical row table of each
-    shipped structure is packed once into a
-    ``multiprocessing.shared_memory`` segment and batches carry a
-    :class:`~repro.service.protocol.ShmTableRef` instead of the
-    structure: workers attach zero-copy rather than unpickling their own
-    copy of the row table, and a respawned worker re-attaches to the
-    same segment on re-ship.  The transport owns the segments and
-    unlinks them all on :meth:`close`.
     """
 
     name = "multiprocess"
@@ -483,7 +470,6 @@ class MultiprocessTransport(Transport):
         snapshot_dir: str | None = None,
         start_method: str | None = None,
         max_restarts: int = 3,
-        shm_tables: bool = True,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"worker count must be >= 1, got {workers}")
@@ -492,9 +478,6 @@ class MultiprocessTransport(Transport):
         self._budget_bytes = budget_bytes
         self._total_budget_bytes = total_budget_bytes
         self.snapshot_dir = None if snapshot_dir is None else str(snapshot_dir)
-        self.shm_tables = bool(shm_tables)
-        #: signature -> (SharedMemory segment, ShmTableRef); owned here.
-        self._shm_segments: dict[str, tuple[object, ShmTableRef]] = {}
         methods = multiprocessing.get_all_start_methods()
         chosen = start_method or ("fork" if "fork" in methods else "spawn")
         if chosen not in methods:
@@ -544,57 +527,7 @@ class MultiprocessTransport(Transport):
     def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
         self._shards[shard_id].shipped.difference_update(signatures)
 
-    # -- zero-copy table publishing --------------------------------------
-    def _publish_table(
-        self, signature: str, structure: RelationStructure
-    ) -> ShmTableRef | None:
-        """The shared-memory ref of one structure, publishing on first use.
-
-        A segment is created once per structure for the transport's
-        lifetime -- re-ships after a worker crash hand out the same ref,
-        and every worker attaches to the one copy.  Returns ``None`` for
-        empty tables (a zero-byte segment cannot exist, and there is
-        nothing worth sharing).
-        """
-        published = self._shm_segments.get(signature)
-        if published is not None:
-            return published[1]
-        table = columnar.NumpyTable.from_structure(structure)
-        if table.packed_nbytes == 0:
-            return None
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=table.packed_nbytes)
-        table.pack_into(segment.buf)
-        ref = ShmTableRef(
-            signature=signature,
-            shm_name=segment.name,
-            input_shape=tuple(table.input_matrix.shape),
-            output_shape=tuple(table.output_matrix.shape),
-            input_domain_sizes=structure.input_domain_sizes,
-            output_domain_sizes=structure.output_domain_sizes,
-        )
-        self._shm_segments[signature] = (segment, ref)
-        return ref
-
-    def shm_segments(self) -> tuple[str, ...]:
-        """Names of the live shared-memory segments (leak-check hook)."""
-        return tuple(
-            segment.name  # type: ignore[attr-defined]
-            for segment, _ in self._shm_segments.values()
-        )
-
     def submit(self, batch: GammaBatch) -> None:
-        if self.shm_tables and batch.structures:
-            structures: dict[str, object] = {}
-            for signature, structure in batch.structures.items():
-                ref = (
-                    self._publish_table(signature, structure)
-                    if isinstance(structure, RelationStructure)
-                    else None
-                )
-                structures[signature] = ref if ref is not None else structure
-            batch = replace(batch, structures=structures)
         try:
             self._shards[batch.shard_id].task_queue.put(batch)
         except (ValueError, OSError) as exc:
@@ -681,15 +614,6 @@ class MultiprocessTransport(Transport):
             shard.task_queue.close()
         self._result_queue.cancel_join_thread()
         self._result_queue.close()
-        # Workers are down: release the published row tables.  The
-        # transport is the sole owner, so close + unlink here is what
-        # guarantees no segment outlives the coordinator.
-        for segment, _ in self._shm_segments.values():
-            with contextlib.suppress(OSError, FileNotFoundError):
-                segment.close()  # type: ignore[attr-defined]
-            with contextlib.suppress(OSError, FileNotFoundError):
-                segment.unlink()  # type: ignore[attr-defined]
-        self._shm_segments.clear()
 
 
 # ---------------------------------------------------------------------- #
@@ -1184,7 +1108,6 @@ def build_transport(
     probe_interval: float | None = None,
     rebalance: bool = True,
     ring_slack: int = 1,
-    shm_tables: bool = True,
     ssl_context: ssl.SSLContext | None = None,
     tls_ca: str | None = None,
     auth_token: str | None = None,
@@ -1240,5 +1163,4 @@ def build_transport(
         snapshot_dir=snapshot_dir,
         start_method=start_method,
         max_restarts=max_restarts,
-        shm_tables=shm_tables,
     )

@@ -11,10 +11,9 @@ Three contracts:
 * **plain-data persistence** -- snapshots freeze array payloads to plain
   int tuples, and a snapshot preloads into a fresh kernel that answers
   without recomputation;
-* **zero-copy shipping and coalesced dispatch** -- shared-memory row
-  tables are attached/detached without leaking segments, and the
-  batch-coalescing dispatcher returns exactly the oracle's results
-  under out-of-order collection, discards, and shard errors.
+* **coalesced dispatch** -- the batch-coalescing dispatcher returns
+  exactly the oracle's results under out-of-order collection, discards,
+  and shard errors.
 """
 
 from __future__ import annotations
@@ -160,41 +159,6 @@ class TestPortableSnapshots:
             == stats_before["partition_refinements"]
         )
         assert stats_after["grouping_passes"] == stats_before["grouping_passes"]
-
-
-class TestSharedMemoryLifecycle:
-    def test_segments_published_once_and_unlinked_on_close(self):
-        from multiprocessing import shared_memory
-
-        relation = ModuleRelation.random("SHM", n_inputs=2, n_outputs=2, seed=33)
-        requests = entry_requests(relation)
-        with ShardCoordinator(0) as oracle:
-            expected = oracle.gammas(requests)
-        coordinator = ShardCoordinator(2, shm_tables=True)
-        try:
-            assert coordinator.transport.shm_tables
-            assert coordinator.gammas(requests) == expected
-            # Re-sweeping must reuse the published segment, not leak a
-            # second one per re-ship.
-            assert coordinator.gammas(requests) == expected
-            names = coordinator.transport.shm_segments()
-            assert len(names) == 1
-        finally:
-            coordinator.close()
-        assert coordinator.transport.shm_segments() == ()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_value_shipping_opt_out_publishes_nothing(self):
-        relation = ModuleRelation.random("VAL", n_inputs=2, n_outputs=2, seed=34)
-        requests = entry_requests(relation)
-        with ShardCoordinator(0) as oracle:
-            expected = oracle.gammas(requests)
-        with ShardCoordinator(1, shm_tables=False) as coordinator:
-            assert not coordinator.transport.shm_tables
-            assert coordinator.gammas(requests) == expected
-            assert coordinator.transport.shm_segments() == ()
 
 
 class TestCoalescedDispatch:
@@ -345,6 +309,7 @@ class TestE9CoalescedHeadline:
         headline = e9_sharding.headline(rows)
         assert headline["coalesced_speedup"] > 0
         if (os.cpu_count() or 1) >= 4:
-            # With real parallelism the coalesced shared-memory path
-            # must beat the PR 6 one-round-trip-per-request path.
+            # With real parallelism the coalesced path must beat the
+            # one-round-trip-per-request path: the two cells differ in
+            # coalescing alone.
             assert headline["coalesced_speedup"] >= 1.0

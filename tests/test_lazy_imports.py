@@ -212,6 +212,28 @@ class TestImportBudget:
         assert "repro.service.coordinator" in loaded
         assert "repro.privacy.approx" not in loaded
 
+    def test_fork_sweep_loads_no_shared_memory(self):
+        # Structures reach worker processes by value: no shared-memory
+        # segment is published, so the module is never imported.
+        loaded = _loaded_after(
+            """
+            from repro.privacy.relations import ModuleRelation
+            from repro.service import ShardCoordinator
+
+            relations = [ModuleRelation.random(f"F{i}", seed=i) for i in range(4)]
+            requests = [
+                (relation.structure_signature, *relation.visibility_of(()))
+                for relation in relations
+            ]
+            with ShardCoordinator(2, start_method="fork") as client:
+                assert client.gammas(requests) == [
+                    relation.achieved_gamma(()) for relation in relations
+                ]
+            """
+        )
+        assert "repro.service.transport" in loaded
+        assert "multiprocessing.shared_memory" not in loaded
+
     def test_build_parser_imports_no_experiment_module(self):
         loaded = _loaded_after("from repro import cli; cli.build_parser()")
         assert [m for m in loaded if m.startswith("repro.experiments.")] == []

@@ -11,17 +11,13 @@
   caller hands in), equality is domain sizes plus matrix equality, the
   hash is the signature's, and wire and pickle round trips keep the
   signature while pickles hold no numpy objects.
-* **Snapshots and shared memory** -- a snapshot written in the previous
-  (tuple-column) format is skipped and its structure cold-started, and a
-  worker's shared-memory attach builds its structure over the attached
-  matrices without a copy, still refusing a segment whose bytes do not
-  hash to the advertised signature.
+* **Snapshots** -- a snapshot written in the previous (tuple-column)
+  format is skipped and its structure cold-started.
 """
 
 from __future__ import annotations
 
 import copyreg
-import gc
 import hashlib
 import io
 import itertools
@@ -42,8 +38,7 @@ from repro.privacy.relations import Attribute, ModuleRelation
 from repro.privacy.workflow_privacy import exact_secure_view
 from repro.service import KernelSnapshotStore, ShardCoordinator
 from repro.service.persistence import SNAPSHOT_VERSION
-from repro.service.protocol import ShmTableRef, structure_from_wire, structure_to_wire
-from repro.service.worker import ShmAttachments
+from repro.service.protocol import structure_from_wire, structure_to_wire
 
 RELAXED = settings(
     max_examples=150,
@@ -351,44 +346,3 @@ def test_version_1_snapshot_is_skipped_and_cold_started(tmp_path):
     assert result.hidden_labels == expected.hidden_labels
     assert result.cost == expected.cost
     assert not stale.is_file()
-
-
-def test_shared_memory_attach_builds_structure_over_the_segment():
-    from multiprocessing import shared_memory
-
-    structure = ModuleRelation.random("SHM", n_inputs=3, seed=5).structure_signature
-    table = NumpyTable.from_structure(structure)
-    segment = shared_memory.SharedMemory(create=True, size=table.packed_nbytes)
-
-    def ref(signature):
-        return ShmTableRef(
-            signature=signature,
-            shm_name=segment.name,
-            input_shape=tuple(table.input_matrix.shape),
-            output_shape=tuple(table.output_matrix.shape),
-            input_domain_sizes=structure.input_domain_sizes,
-            output_domain_sizes=structure.output_domain_sizes,
-        )
-
-    try:
-        table.pack_into(segment.buf)
-        attachments = ShmAttachments()
-        attached, view = attachments.resolve(ref(structure.signature))
-        assert attached == structure
-        assert attached.signature == structure.signature
-        assert attached.input_columns is view.input_matrix
-        assert attached.output_columns is view.output_matrix
-        (attached_segment,) = attachments._segments.values()
-        del attached, view
-        attachments.close()
-        # No view outlived the structure, so the detach really happened.
-        assert attached_segment.buf is None
-
-        mislabelled = ShmAttachments()
-        with pytest.raises(ValueError, match="does not match"):
-            mislabelled.resolve(ref("0" * 32))
-        gc.collect()
-        mislabelled.close()
-    finally:
-        segment.close()
-        segment.unlink()

@@ -347,6 +347,25 @@ class TestCrashRecovery:
             assert stats["worker_restarts"] >= 1
             assert stats["retried_batches"] >= 1
 
+    def test_spawned_workers_match_in_process_and_recover(self):
+        relations = [
+            ModuleRelation.random(f"S{i}", n_inputs=2, n_outputs=2, seed=620 + i)
+            for i in range(4)
+        ]
+        signatures = [r.structure_signature.signature for r in relations]
+        assert {shard_of(signature, 2) for signature in signatures} == {0, 1}
+        requests = [req for r in relations for req in entry_requests(r)]
+        with ShardCoordinator(0) as oracle:
+            expected = oracle.gammas(requests)
+        with ShardCoordinator(2, start_method="spawn") as coordinator:
+            assert coordinator.gammas(requests) == expected
+            # The respawned worker holds no structure: the coordinator
+            # re-ships the lost shard's structures by value.
+            coordinator.inject_crash(0)
+            assert coordinator.gammas(requests) == expected
+            assert coordinator.worker_restarts == 1
+            assert any(report.retried for report in coordinator.shard_reports())
+
     def test_stale_error_message_does_not_poison_next_call(self):
         relation = ModuleRelation.random("P", seed=45)
         coordinator = ShardCoordinator(2)
