@@ -11,6 +11,9 @@ Three contracts:
 * **plain-data persistence** -- snapshots freeze array payloads to plain
   int tuples, and a snapshot preloads into a fresh kernel that answers
   without recomputation;
+* **value shipping** -- a worker process receives each structure
+  pickled, once per live shard, and again only after that shard is
+  respawned;
 * **coalesced dispatch** -- the batch-coalescing dispatcher returns
   exactly the oracle's results under out-of-order collection, discards,
   and shard errors.
@@ -29,9 +32,13 @@ from service_workloads import all_visibility_pairs, entry_requests
 from repro.errors import ServiceError
 from repro.experiments import e9_sharding
 from repro.privacy.columnar import freeze
-from repro.privacy.kernel_registry import TIMING_STAT_KEYS, GammaKernelRegistry
+from repro.privacy.kernel_registry import (
+    TIMING_STAT_KEYS,
+    GammaKernelRegistry,
+    RelationStructure,
+)
 from repro.privacy.relations import ModuleRelation
-from repro.service import ShardCoordinator
+from repro.service import ShardCoordinator, shard_of
 from repro.service.persistence import KernelSnapshotStore
 from repro.service.transport import InProcessTransport
 
@@ -159,6 +166,67 @@ class TestPortableSnapshots:
             == stats_before["partition_refinements"]
         )
         assert stats_after["grouping_passes"] == stats_before["grouping_passes"]
+
+
+class TestValueShipping:
+    def _record_shipments(self, coordinator):
+        """Wrap ``transport.submit``; return the list it appends to."""
+        shipments = []
+        submit = coordinator.transport.submit
+
+        def recording_submit(batch):
+            shipments.append((batch.shard_id, dict(batch.structures)))
+            submit(batch)
+
+        coordinator.transport.submit = recording_submit
+        return shipments
+
+    def test_structure_shipped_once_per_shard_across_sweeps(self):
+        relation = ModuleRelation.random("VAL", n_inputs=2, n_outputs=2, seed=34)
+        structure = relation.structure_signature
+        requests = entry_requests(relation)
+        with ShardCoordinator(0) as oracle:
+            expected = oracle.gammas(requests)
+        with ShardCoordinator(2) as coordinator:
+            shipments = self._record_shipments(coordinator)
+            assert coordinator.gammas(requests) == expected
+            first_sweep = len(shipments)
+            # Re-sweeping must reuse the worker's copy, not ship it again.
+            assert coordinator.gammas(requests) == expected
+        assert len(shipments) > first_sweep
+        carried = [
+            (shard_id, signature, shipped)
+            for shard_id, structures in shipments
+            for signature, shipped in structures.items()
+        ]
+        assert len(carried) == 1
+        shard_id, signature, shipped = carried[0]
+        assert signature == structure.signature
+        assert shard_id == shard_of(signature, 2)
+        assert type(shipped) is RelationStructure
+        assert shipped == structure
+
+    def test_respawned_shard_is_shipped_the_structure_again(self):
+        relation = ModuleRelation.random("RES", n_inputs=2, n_outputs=2, seed=35)
+        signature = relation.structure_signature.signature
+        home = shard_of(signature, 2)
+        requests = entry_requests(relation)
+        with ShardCoordinator(0) as oracle:
+            expected = oracle.gammas(requests)
+        with ShardCoordinator(2) as coordinator:
+            shipments = self._record_shipments(coordinator)
+            assert coordinator.gammas(requests) == expected
+            coordinator.inject_crash(home)
+            assert coordinator.gammas(requests) == expected
+            assert coordinator.worker_restarts == 1
+        carrying = [
+            shard_id for shard_id, structures in shipments if signature in structures
+        ]
+        assert carrying == [home, home]
+
+    def test_shared_memory_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            ShardCoordinator(2, shm_tables=True)
 
 
 class TestCoalescedDispatch:
