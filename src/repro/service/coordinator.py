@@ -40,7 +40,9 @@ IPC round trip carrying the tasks of several requests); the default
 is tracked per task, so requests sharing a batch still complete and
 fail independently.  Every transport ships a structure by value, once
 per shard: a multiprocess worker unpickles its own copy of the two
-column matrices.
+column matrices.  The coordinator keeps no structure store: each
+in-flight batch carries its tasks' structures and sends only those its
+shard lacks, so a batch sent again after a crash re-ships from itself.
 
 The coordinator serves exact Gamma only (``want`` is ``"gamma"`` or
 ``"entry"``); sampled Gamma intervals are a local query of
@@ -62,17 +64,14 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.privacy.kernel_registry import RelationStructure
-from repro.service.persistence import KernelSnapshotStore
 from repro.service.protocol import (
     MSG_BATCH,
     MSG_ERROR,
-    MSG_NEED,
     MSG_OVERLOAD,
     MSG_STOPPED,
     WANT_GAMMA,
@@ -93,12 +92,6 @@ from repro.service.transport import (
 #: One evaluation request: (canonical structure, visible inputs, visible outputs).
 GammaRequest = tuple[RelationStructure, tuple[int, ...], tuple[int, ...]]
 
-#: Default cap on coordinator-retained canonical structures.  Structures
-#: are only needed again for crash-recovery re-shipping (and are then
-#: almost always the *current* request's, i.e. the most recently used);
-#: older ones are re-loadable from the snapshot store when configured.
-DEFAULT_STRUCTURE_CACHE = 4096
-
 #: How many per-batch dispatch latencies are retained for percentiles.
 LATENCY_WINDOW = 8192
 
@@ -115,6 +108,7 @@ class _PendingRequest:
     __slots__ = (
         "request_id",
         "tasks",
+        "structures",
         "outstanding",
         "batch_ids",
         "results",
@@ -122,9 +116,17 @@ class _PendingRequest:
         "retry_after_ms",
     )
 
-    def __init__(self, request_id: int, tasks: list[GammaTask]) -> None:
+    def __init__(
+        self,
+        request_id: int,
+        tasks: list[GammaTask],
+        structures: dict[str, RelationStructure],
+    ) -> None:
         self.request_id = request_id
         self.tasks = tasks
+        #: The structure of every task, by signature: what this request
+        #: contributes to the batches that carry its tasks.
+        self.structures = structures
         #: Task ids still awaiting a result (buffered or dispatched).
         self.outstanding: set[int] = {task.task_id for task in tasks}
         #: In-flight batches currently carrying tasks of this request.
@@ -159,7 +161,6 @@ class ShardCoordinator:
         start_method: str | None = None,
         task_timeout: float = 120.0,
         max_restarts: int = 3,
-        structure_cache_size: int = DEFAULT_STRUCTURE_CACHE,
         probe_interval: float | None = None,
         rebalance: bool = True,
         ring_slack: int = 1,
@@ -168,8 +169,6 @@ class ShardCoordinator:
         ssl_context=None,
         auth_token: str | None = None,
     ) -> None:
-        if structure_cache_size < 1:
-            raise ServiceError("structure cache must hold at least one structure")
         if coalesce < 0:
             raise ServiceError(f"coalesce threshold must be >= 0, got {coalesce}")
         if transport is None:
@@ -194,24 +193,13 @@ class ShardCoordinator:
         self.workers = (
             0 if isinstance(transport, InProcessTransport) else transport.shard_count
         )
-        self.snapshot_dir = None if snapshot_dir is None else str(snapshot_dir)
         self.task_timeout = float(task_timeout)
-        self.structure_cache_size = int(structure_cache_size)
         self._task_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._request_ids = itertools.count(1)
-        #: LRU of canonical structures for (re-)shipping, most recent last.
-        #: Capped: on miss the snapshot store re-ships, unlike PR 3's
-        #: retain-everything dict (the ROADMAP's coordinator-memory leak).
-        self._structures: "OrderedDict[str, RelationStructure]" = OrderedDict()
-        #: Read-only store handle for structure re-ship on LRU miss.
-        self._structure_store = (
-            KernelSnapshotStore(self.snapshot_dir)
-            if self.snapshot_dir is not None
-            else None
-        )
         self._pending: dict[int, _PendingRequest] = {}
-        #: In-flight (dispatched, uncompleted) batches by batch id.
+        #: In-flight (dispatched, uncompleted) batches by batch id, each
+        #: holding the structures of all its tasks.
         self._inflight_batches: dict[int, GammaBatch] = {}
         #: batch id -> ids of the live requests with tasks in that batch
         #: (a singleton set without coalescing; possibly several with).
@@ -237,8 +225,6 @@ class ShardCoordinator:
         self._retried_batches = 0
         #: Batches shed by a server's admission control (overload replies).
         self._overloads = 0
-        self._structure_evictions = 0
-        self._structure_reloads = 0
         self._closed = False
         #: Serializes dispatch bookkeeping and the result pump, so several
         #: client threads may submit/collect concurrently.  Reentrant:
@@ -276,34 +262,6 @@ class ShardCoordinator:
                 self._endpoint_readmissions += 1
 
     # ------------------------------------------------------------------ #
-    # Structure cache
-    # ------------------------------------------------------------------ #
-    def _remember_structure(self, structure: RelationStructure) -> None:
-        signature = structure.signature
-        self._structures[signature] = structure
-        self._structures.move_to_end(signature)
-        while len(self._structures) > self.structure_cache_size:
-            self._structures.popitem(last=False)
-            self._structure_evictions += 1
-
-    def _structure_for(self, signature: str) -> RelationStructure:
-        structure = self._structures.get(signature)
-        if structure is not None:
-            self._structures.move_to_end(signature)
-            return structure
-        if self._structure_store is not None:
-            snapshot = self._structure_store.load(signature)
-            if snapshot is not None:
-                self._structure_reloads += 1
-                self._remember_structure(snapshot[0])
-                return snapshot[0]
-        raise ServiceError(
-            f"structure {signature!r} fell out of the coordinator cache and "
-            "no snapshot store holds it; raise structure_cache_size or "
-            "configure snapshot_dir"
-        )
-
-    # ------------------------------------------------------------------ #
     # Asynchronous evaluation API (request id keyed)
     # ------------------------------------------------------------------ #
     def submit(
@@ -324,8 +282,9 @@ class ShardCoordinator:
             if self._closed:
                 raise ServiceError("coordinator is closed")
             tasks: list[GammaTask] = []
+            structures: dict[str, RelationStructure] = {}
             for structure, visible_inputs, visible_outputs in requests:
-                self._remember_structure(structure)
+                structures[structure.signature] = structure
                 tasks.append(
                     GammaTask(
                         next(self._task_ids),
@@ -336,7 +295,7 @@ class ShardCoordinator:
                     )
                 )
             request_id = next(self._request_ids)
-            pending = _PendingRequest(request_id, tasks)
+            pending = _PendingRequest(request_id, tasks, structures)
             self._pending[request_id] = pending
             if not tasks:
                 return request_id
@@ -365,12 +324,19 @@ class ShardCoordinator:
         per task through ``_task_requests``, so a batch may span any
         number of requests.
         """
-        request_ids = {self._task_requests[task.task_id] for task in tasks}
+        request_ids = set()
+        structures: dict[str, RelationStructure] = {}
+        for task in tasks:
+            request_id = self._task_requests[task.task_id]
+            request_ids.add(request_id)
+            structures[task.signature] = self._pending[request_id].structures[
+                task.signature
+            ]
         batch = GammaBatch(
             next(self._batch_ids),
             shard_id,
             tuple(tasks),
-            {},
+            structures,
             min(request_ids),
         )
         self._batches_dispatched += 1
@@ -504,14 +470,13 @@ class ShardCoordinator:
         self._send(batch)
 
     def _send(self, batch: GammaBatch) -> None:
-        signatures = {task.signature for task in batch.tasks}
+        """Submit ``batch`` with the structures its shard was not sent."""
         while True:
-            missing = self.transport.unshipped(batch.shard_id, signatures)
+            missing = self.transport.unshipped(batch.shard_id, batch.structures)
             shipped = replace(
                 batch,
                 structures={
-                    signature: self._structure_for(signature)
-                    for signature in missing
+                    signature: batch.structures[signature] for signature in missing
                 },
             )
             self._dispatch_times[batch.batch_id] = time.monotonic()
@@ -528,7 +493,7 @@ class ShardCoordinator:
                 # WorkerCrashError once nothing survives.
                 self._recover(batch.shard_id, exclude=batch.batch_id)
                 self._mark_retried(batch.batch_id)
-        self.transport.mark_shipped(batch.shard_id, signatures)
+        self.transport.mark_shipped(batch.shard_id, batch.structures)
 
     def _mark_retried(self, batch_id: int) -> None:
         if batch_id not in self._retried_batch_ids:
@@ -628,16 +593,6 @@ class ShardCoordinator:
                     self._task_requests.pop(task.task_id, None)
                 self._forget_request_batches(failed)
             return deadline
-        if kind == MSG_NEED:
-            # The server's structure cache no longer holds signatures we
-            # treated as shipped: forget the marks and re-ship the batch.
-            _, batch_id, signatures = message
-            batch = self._inflight_batches.get(batch_id)
-            if batch is None:  # completed, failed or fully discarded
-                return deadline
-            self.transport.unship(batch.shard_id, signatures)
-            self._send(batch)
-            return time.monotonic() + self.task_timeout
         if kind != MSG_BATCH:  # pragma: no cover - unknown message kind
             raise ServiceError(f"unexpected service message {message[0]!r}")
         _, shard_id, batch_id, results, report = message
@@ -755,9 +710,6 @@ class ShardCoordinator:
             "coalesced_requests": self._coalesced_requests,
             "worker_restarts": self.worker_restarts,
             "preloaded_entries": self.preloaded_entries,
-            "structures_cached": len(self._structures),
-            "structure_evictions": self._structure_evictions,
-            "structure_reloads": self._structure_reloads,
             "overloads": self._overloads,
             **self.latency_percentiles(),
         }

@@ -326,10 +326,6 @@ class PooledTransport(Transport):
         with self._lock:
             self._endpoint_for(shard_id).mark_shipped(0, signatures)
 
-    def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
-        with self._lock:
-            self._endpoint_for(shard_id).unship(0, signatures)
-
     # -- dispatch and poll ----------------------------------------------
     def submit(self, batch: GammaBatch) -> None:
         self._drain_handoffs()

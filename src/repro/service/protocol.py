@@ -73,7 +73,6 @@ WANT_ENTRY = "entry"
 #: Message kinds exchanged between transports/servers and the coordinator.
 MSG_BATCH = "batch"
 MSG_ERROR = "error"
-MSG_NEED = "need"
 MSG_STATS = "stats"
 MSG_STOP = "stop"
 MSG_STOPPED = "stopped"
@@ -474,9 +473,8 @@ def message_to_wire(message: tuple) -> list:
 
     * ``("batch", GammaBatch)`` -- client request;
     * ``("batch", shard_id, batch_id, results, report)`` -- completion;
-    * ``("error", shard_id, batch_id, text)``;
-    * ``("need", batch_id, [signature, ...])`` -- server asking the
-      client to re-ship structures its cache no longer holds;
+    * ``("error", shard_id, batch_id, text)`` and ``("overload",
+      shard_id, batch_id, retry_after_ms)``;
     * ``("export", [signature, ...])`` / ``("exported", payload)`` and
       ``("import", payload)`` / ``("imported", count)`` -- warm-handoff
       kernel transfer (:func:`kernel_export_to_wire`);
@@ -516,9 +514,6 @@ def message_from_wire(wire: list) -> tuple:
             tuple(result_from_wire(result) for result in results),
             report_from_wire(report),
         )
-    if kind == MSG_NEED:
-        _, batch_id, signatures = wire
-        return (kind, batch_id, tuple(signatures))
     if kind == MSG_EXPORT:
         return (kind, tuple(wire[1]))
     if kind in (MSG_EXPORTED, MSG_IMPORT):

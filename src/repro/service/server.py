@@ -15,24 +15,24 @@ Handled frames (one reply per request):
 
 * ``("batch", GammaBatch)`` -> ``("batch", shard_id, batch_id, results,
   report)`` or ``("error", shard_id, batch_id, traceback)``.  Clients
-  ship each structure once per connection; the server keeps a bounded
-  structure LRU shared across clients and answers ``("need", batch_id,
-  signatures)`` when a batch references structures it no longer holds,
-  asking the client to re-ship instead of failing.
+  ship each structure once per connection into the kernel registry, the
+  server's one structure store; a task whose signature no kernel holds
+  fails closed with ``error``.
 * ``("stats",)`` -> ``("stats", kernel_and_service_stats)``.
 * ``("stop",)`` -> ``("stopped", 0)`` and a server shutdown (admin
   hook; disable with ``allow_remote_stop=False``).
 
 Concurrency and fairness: one *reader* thread per client connection
-parses frames and answers the cheap ones (``need`` re-ships, stats,
-stop) inline; batch evaluations go through a **deficit-weighted fair
+parses frames, adopts the structures a batch ships into the registry,
+and answers the cheap frames (ping, stats, export, import, stop)
+inline; batch evaluations go through a **deficit-weighted fair
 scheduler** -- every connection owns a bounded request queue (a full
 queue blocks only that client's reader: natural per-tenant
 backpressure), and one dispatcher thread drains the queues by
 *deficit round-robin over estimated batch cost*: each tenant accrues
 ``weight x quantum`` dispatch credit per scheduler round and each
 dispatched batch debits its estimated cost (``rows x visible subsets``
-from the shipped structure, refined per signature by an EWMA of
+from the registry's kernel, refined per signature by an EWMA of
 observed service time), so service *cost* -- not batch count --
 interleaves across tenants in proportion to their configured weights.
 Weights and per-tenant queue quotas come from the server-side
@@ -47,14 +47,15 @@ at arrival and the time the batch waited before dispatch
 aggregate and per-tenant gauges.
 
 One evaluation hop: Gamma depends only on a module's own relation and
-visibility, so a decoded batch whose structures the cache resolved has
+visibility, so a decoded batch whose structures the registry holds has
 nothing left to route -- the dispatcher hands it straight to the
 registry's :meth:`~repro.service.transport.InProcessTransport.evaluate`,
 and the reply carries the client's task ids and per-task ``want``
 unchanged.  The registry is not thread-safe: one lock serializes the
-dispatcher's evaluations with the readers' ``export``, ``import`` and
-``stats``.  Multi-core serving is several ``repro serve`` processes
-behind one ``ShardCoordinator(endpoints=[...])`` client.
+dispatcher's evaluations with the readers' structure adoption,
+``export``, ``import`` and ``stats``.  Multi-core serving is several
+``repro serve`` processes behind one ``ShardCoordinator(endpoints=[...])``
+client.
 
 Security: ``tls_cert``/``tls_key`` wrap every accepted connection in
 server-side TLS (optionally verifying client certificates against
@@ -63,7 +64,7 @@ token preamble of :mod:`repro.service.security` on every connection --
 validated with a constant-time compare *before any frame is decoded*,
 so unauthenticated peers never reach the frame decoder.  Authenticated
 peers reach only the data-only decoder of :mod:`repro.service.protocol`:
-a frame that does not decode to a well-formed message -- including one
+a frame that does not decode to a well-formed request -- including one
 that references any global -- drops that client and counts in the
 ``server_errors`` stat, while every other tenant keeps being served.
 """
@@ -86,7 +87,7 @@ from dataclasses import replace
 from typing import Mapping
 
 from repro.errors import ServiceError
-from repro.privacy.kernel_registry import RelationStructure
+from repro.privacy.kernel_registry import SharedGammaKernel
 from repro.service.protocol import (
     MSG_BATCH,
     MSG_ERROR,
@@ -94,7 +95,6 @@ from repro.service.protocol import (
     MSG_EXPORTED,
     MSG_IMPORT,
     MSG_IMPORTED,
-    MSG_NEED,
     MSG_OVERLOAD,
     MSG_PING,
     MSG_PONG,
@@ -117,9 +117,6 @@ from repro.service.security import (
     send_auth_reply,
 )
 from repro.service.transport import InProcessTransport, parse_address
-
-#: Default cap on the server-side structure LRU (shared across clients).
-DEFAULT_SERVER_STRUCTURES = 4096
 
 #: Default cap on one tenant's queued batches; a full queue blocks that
 #: tenant's reader thread (backpressure) while the tenant still has
@@ -197,7 +194,7 @@ class _Tenant:
         #: socket operations through this lock (plaintext sockets are
         #: full-duplex and skip it).
         self.io_lock = io_lock
-        #: Queued (batch, structures, enqueued_at, depth, units) items, FIFO.
+        #: Queued (batch, enqueued_at, depth, units) items, FIFO.
         self.pending: deque[tuple] = deque()
         #: Outbound reply frames, drained by this tenant's writer thread.
         #: Dispatchers must never block on a tenant's socket -- a tenant
@@ -331,10 +328,10 @@ class _FairScheduler:
     interleaves in proportion to configured weights, not batch counts,
     and a tenant shipping few huge batches cannot crowd out one shipping
     many small ones.  Cost estimates start at ``rows x visible subsets``
-    from the shipped structure and are refined by a per-signature EWMA
-    of observed service time per unit.  Items of an unregistered
-    (disconnected) tenant are dropped instead of evaluated into a dead
-    socket.
+    from the structure's registry kernel and are refined by a
+    per-signature EWMA of observed service time per unit.  Items of an
+    unregistered (disconnected) tenant are dropped instead of evaluated
+    into a dead socket.
 
     Admission control: :meth:`enqueue` on a *full* tenant queue blocks
     (per-tenant backpressure) only while the tenant still holds credit;
@@ -372,7 +369,9 @@ class _FairScheduler:
             thread.start()
 
     # -- cost model -----------------------------------------------------
-    def estimate_units(self, batch: GammaBatch, structures: Mapping) -> float:
+    def estimate_units(
+        self, batch: GammaBatch, kernels: Mapping[str, SharedGammaKernel]
+    ) -> float:
         """Estimated cost of ``batch`` in abstract units.
 
         ``rows x visible subsets`` per task: the kernel's partition
@@ -383,8 +382,8 @@ class _FairScheduler:
         """
         units = 0.0
         for task in batch.tasks:
-            structure = structures.get(task.signature)
-            rows = structure.row_count if structure is not None else 1
+            kernel = kernels.get(task.signature)
+            rows = kernel.structure.row_count if kernel is not None else 1
             subsets = max(1, len(task.visible_inputs) + len(task.visible_outputs))
             units += max(1.0, float(rows * subsets))
         return max(units, 1.0)
@@ -445,7 +444,7 @@ class _FairScheduler:
         """Queue one batch: ``("queued", 0)``, ``("closed", 0)`` on a
         stopping server / dropped tenant, or ``("overload",
         retry_after_ms)`` when the queue is full and credit exhausted."""
-        units = item[4]
+        units = item[3]
         with self._cond:
             while (
                 len(tenant.pending) >= tenant.max_depth
@@ -476,9 +475,9 @@ class _FairScheduler:
             self._rotation.append(tenant_id)
             if tenant.pending and tenant.deficit > 0.0:
                 item = tenant.pending.popleft()
-                units = self._charge(item[0], item[4])
+                units = self._charge(item[0], item[3])
                 tenant.deficit -= units
-                tenant.queued_units = max(tenant.queued_units - item[4], 0.0)
+                tenant.queued_units = max(tenant.queued_units - item[3], 0.0)
                 tenant.dispatched += 1
                 self._quantum_units += COST_EWMA_ALPHA * (
                     units - self._quantum_units
@@ -541,14 +540,14 @@ class _FairScheduler:
                 if entry is None:
                     return  # stopping and drained
             tenant, item = entry
-            wait_ms = (time.monotonic() - item[2]) * 1000.0
+            wait_ms = (time.monotonic() - item[1]) * 1000.0
             with self._cond:
                 self._waits_ms.append(wait_ms)
                 tenant.waits_ms.append(wait_ms)
             started = time.monotonic()
             self._dispatch(tenant, item, wait_ms)
             self.observe_service_time(
-                item[0], item[4], (time.monotonic() - started) * 1000.0
+                item[0], item[3], (time.monotonic() - started) * 1000.0
             )
 
     # -- gauges ---------------------------------------------------------
@@ -645,7 +644,6 @@ class GammaServer:
         budget_bytes: int | None = None,
         total_budget_bytes: int | None = None,
         snapshot_dir: str | None = None,
-        structure_cache_size: int = DEFAULT_SERVER_STRUCTURES,
         allow_remote_stop: bool = True,
         backlog: int = 16,
         max_queue_depth: int = DEFAULT_TENANT_QUEUE,
@@ -673,18 +671,13 @@ class GammaServer:
             policy = PolicyTable.from_mapping(policy)
         self._policy = policy
         self._handshake_timeout = float(handshake_timeout)
-        if structure_cache_size < 1:
-            raise ServiceError("structure cache must hold at least one structure")
-        self.structure_cache_size = int(structure_cache_size)
-        self._structures: "OrderedDict[str, RelationStructure]" = OrderedDict()
-        self._structures_lock = threading.Lock()
         self._backend = InProcessTransport(
             budget_bytes=budget_bytes,
             total_budget_bytes=total_budget_bytes,
             snapshot_dir=snapshot_dir,
         )
         #: Serializes every registry touch: the dispatcher's evaluations
-        #: and the readers' export, import and stats.
+        #: and the readers' structure adoption, export, import and stats.
         self._backend_lock = threading.Lock()
         self._scheduler = _FairScheduler(self._dispatch_item, 1, max_queue_depth)
         self._tenant_ids = itertools.count(1)
@@ -721,7 +714,6 @@ class GammaServer:
             bound_host, bound_port = self._listener.getsockname()
             self.address = ("tcp", bound_host, bound_port)
         self._listener.listen(backlog)
-        self._listener.settimeout(0.2)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -748,9 +740,7 @@ class GammaServer:
         while not self._stop_event.is_set():
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # listener closed under us
+            except OSError:  # listener shut down under us
                 break
             if conn.family == socket.AF_INET:
                 # Pipelined clients write many small frames back to back;
@@ -778,6 +768,10 @@ class GammaServer:
             return
         self._closed = True
         self._stop_event.set()
+        # Closing alone does not wake a thread blocked in accept();
+        # shutting the listener down first does, at once.
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         with contextlib.suppress(OSError):
             self._listener.close()
         with self._connections_lock:
@@ -805,69 +799,14 @@ class GammaServer:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Structure cache (shared across client connections)
-    # ------------------------------------------------------------------ #
-    def _register_structures(
-        self, batch: GammaBatch
-    ) -> tuple[tuple[str, ...], dict[str, RelationStructure]]:
-        """Adopt shipped structures; returns (missing, resolved) atomically.
-
-        The batch's own signatures are *pinned* during eviction (the
-        cache may transiently exceed its cap), so a batch larger than
-        the cache -- or a concurrent tenant churning the LRU -- cannot
-        evict the structures this batch is about to evaluate: that
-        would turn the recoverable ``need``-re-ship path into a
-        livelock (client re-ships, server immediately re-evicts).  The
-        resolved mapping is captured under the same lock, so another
-        client's insertions after return cannot invalidate it.
-        """
-        pinned = {task.signature for task in batch.tasks}
-        with self._structures_lock:
-            for signature, structure in batch.structures.items():
-                self._structures[signature] = structure
-                self._structures.move_to_end(signature)
-            for victim in list(self._structures):
-                if len(self._structures) <= self.structure_cache_size:
-                    break
-                if victim in pinned:
-                    continue
-                del self._structures[victim]
-            missing = []
-            resolved: dict[str, RelationStructure] = {}
-            for task in batch.tasks:
-                structure = self._structures.get(task.signature)
-                if structure is None:
-                    missing.append(task.signature)
-                else:
-                    self._structures.move_to_end(task.signature)
-                    resolved[task.signature] = structure
-            return tuple(dict.fromkeys(missing)), resolved
-
-    def _register_imported_structures(self, payload: dict) -> None:
-        """Adopt the structures of a warm-handoff import.
-
-        The importing client counts them as shipped, so the structure
-        cache must know them or the first batch would bounce with a
-        ``need`` re-ship and waste the handoff.
-        """
-        with self._structures_lock:
-            for signature, (structure, _entries) in payload.items():
-                self._structures[signature] = structure
-                self._structures.move_to_end(signature)
-            while len(self._structures) > self.structure_cache_size:
-                self._structures.popitem(last=False)
-
-    # ------------------------------------------------------------------ #
     # Request handling
     # ------------------------------------------------------------------ #
     def _evaluate(
-        self, batch: GammaBatch, structures: dict[str, RelationStructure]
+        self, batch: GammaBatch
     ) -> tuple[tuple[TaskResult, ...], ShardReport]:
-        """The batch, with its structures resolved, against the registry."""
+        """The batch against the registry, which holds its structures."""
         with self._backend_lock:
-            results, report = self._backend.evaluate(
-                replace(batch, structures=structures)
-            )
+            results, report = self._backend.evaluate(batch)
             self._batches_served += 1
         return results, report
 
@@ -902,8 +841,6 @@ class GammaServer:
         for name, gauges in self._scheduler.tenant_gauges().items():
             for gauge, value in gauges.items():
                 stats[f"tenant.{name}.{gauge}"] = value
-        with self._structures_lock:
-            stats["server_structures"] = len(self._structures)
         return stats
 
     def _dispatch_item(self, tenant: _Tenant, item: tuple, wait_ms: float) -> None:
@@ -913,9 +850,9 @@ class GammaServer:
         here: a dispatcher blocking on one tenant's socket would starve
         every other tenant.
         """
-        batch, structures, _enqueued_at, depth, _units = item
+        batch, _enqueued_at, depth, _units = item
         try:
-            results, report = self._evaluate(batch, structures)
+            results, report = self._evaluate(batch)
         except Exception:
             self._count_server_error()
             reply: tuple = (
@@ -1079,8 +1016,8 @@ class GammaServer:
             pass  # the peer went away
         except Exception:
             # A frame that is torn, oversized, refused by the data-only
-            # decoder or of the wrong shape (ServiceError), or a
-            # well-formed message whose contents break its handler:
+            # decoder, of the wrong shape or not a request (ServiceError),
+            # or a well-formed message whose contents break its handler:
             # drop this client, keep serving every other one.
             self._count_server_error()
         finally:
@@ -1096,9 +1033,13 @@ class GammaServer:
         kind = message[0]
         if kind == MSG_BATCH:
             batch: GammaBatch = message[1]
-            missing, structures = self._register_structures(batch)
-            if missing:
-                return tenant.send((MSG_NEED, batch.batch_id, missing))
+            if batch.structures:
+                # Adopt before enqueueing: a structure belongs to the
+                # server from the moment it arrives, so a later batch
+                # that only references it resolves even when this one
+                # is empty or shed.
+                with self._backend_lock:
+                    self._backend.adopt(batch.structures)
             if not batch.tasks:
                 report = ShardReport(
                     shard_id=batch.shard_id,
@@ -1109,8 +1050,8 @@ class GammaServer:
                 return tenant.send(
                     (MSG_BATCH, batch.shard_id, batch.batch_id, (), report)
                 )
-            units = self._scheduler.estimate_units(batch, structures)
-            queued = (batch, structures, time.monotonic(), len(tenant.pending), units)
+            units = self._scheduler.estimate_units(batch, self._backend.kernels)
+            queued = (batch, time.monotonic(), len(tenant.pending), units)
             verdict, retry_after_ms = self._scheduler.enqueue(tenant, queued)
             if verdict == "closed":
                 return False  # server stopping under us
@@ -1136,14 +1077,15 @@ class GammaServer:
         if kind == MSG_IMPORT:
             with self._backend_lock:
                 imported = self._backend.import_kernel_entries(message[1])
-            self._register_imported_structures(message[1])
             return tenant.send((MSG_IMPORTED, imported))
         if kind == MSG_STOP:
             tenant.send((MSG_STOPPED, 0))
             if self.allow_remote_stop:
                 self._stop_event.set()
             return False
-        return tenant.send((MSG_ERROR, 0, 0, f"unknown message kind {kind!r}"))
+        # Not a request (a reply kind, or no kind the protocol has):
+        # refused like any other malformed frame.
+        raise ServiceError(f"unknown request kind {kind!r}")
 
     def __repr__(self) -> str:
         return f"GammaServer({self.address}, batches={self._batches_served})"

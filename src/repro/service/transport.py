@@ -55,6 +55,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.errors import ServiceAuthError, ServiceError, WorkerCrashError
 from repro.privacy.kernel_registry import (
     GammaKernelRegistry,
+    RelationStructure,
     SharedGammaKernel,
 )
 from repro.service.persistence import KernelSnapshotStore
@@ -227,10 +228,6 @@ class Transport(abc.ABC):
         """Record structures as shipped (until the shard is recovered)."""
 
     @abc.abstractmethod
-    def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
-        """Forget shipped marks (server asked for a re-ship)."""
-
-    @abc.abstractmethod
     def submit(self, batch: GammaBatch) -> None:
         """Hand one batch to its shard.  Raises TransportSendError."""
 
@@ -332,8 +329,21 @@ class InProcessTransport(Transport):
     def mark_shipped(self, shard_id: int, signatures: Iterable[str]) -> None:
         pass  # process_batch registers the kernels; nothing to track
 
-    def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
-        pass  # pragma: no cover - local kernels are never forgotten
+    @property
+    def kernels(self) -> Mapping[str, SharedGammaKernel]:
+        """The registry's kernels by structure signature.
+
+        Entries are only ever added, so a lock-free ``get`` from another
+        thread sees either the kernel or its absence, never a torn one.
+        """
+        return self._kernels
+
+    def adopt(self, structures: Mapping[str, RelationStructure]) -> None:
+        """Register shipped structures as (lazy) kernels, evaluating nothing."""
+        for signature, structure in structures.items():
+            if signature not in self._kernels:
+                self._kernels[signature] = self.registry.ensure_kernel(structure)
+        self._stats = self._registry_stats()
 
     def _registry_stats(self) -> dict[str, int]:
         return {
@@ -349,8 +359,8 @@ class InProcessTransport(Transport):
         Each result keeps its task's id and answers its task's own
         ``want``.  :meth:`submit` queues the pair as a completion
         message; the socket server calls this directly on every batch
-        it dispatches, with the batch's structures resolved from its
-        structure cache.
+        it dispatches, after :meth:`adopt` took in the batch's
+        structures.
         """
         try:
             results = process_batch(batch, self._kernels, self.registry)
@@ -523,9 +533,6 @@ class MultiprocessTransport(Transport):
 
     def mark_shipped(self, shard_id: int, signatures: Iterable[str]) -> None:
         self._shards[shard_id].shipped.update(signatures)
-
-    def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
-        self._shards[shard_id].shipped.difference_update(signatures)
 
     def submit(self, batch: GammaBatch) -> None:
         try:
@@ -739,9 +746,9 @@ class SocketTransport(Transport):
     any number of client processes share one multi-tenant kernel
     service.  Structure shipping is tracked per *connection*: a
     reconnect (after a dropped connection or server restart) clears the
-    shipped set and the coordinator re-ships -- and a server whose
-    structure cache evicted an old signature asks for a re-ship with a
-    ``("need", batch_id, signatures)`` message instead of failing.
+    shipped set and the coordinator re-ships.  The server keeps every
+    structure a connection shipped in its kernel registry, so there is
+    no other re-ship.
 
     ``tls://`` addresses are wrapped in ``ssl_context`` and
     ``auth_token`` runs the raw token preamble, both at connect *and* at
@@ -814,9 +821,6 @@ class SocketTransport(Transport):
 
     def mark_shipped(self, shard_id: int, signatures: Iterable[str]) -> None:
         self._shipped.update(signatures)
-
-    def unship(self, shard_id: int, signatures: Iterable[str]) -> None:
-        self._shipped.difference_update(signatures)
 
     def submit(self, batch: GammaBatch) -> None:
         if self._dead:

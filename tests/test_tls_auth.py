@@ -402,7 +402,7 @@ def fake_batch(signature="sig", tasks=1):
 
 
 def fake_item(units=1.0, signature="sig"):
-    return (fake_batch(signature), {}, time.monotonic(), 0, units)
+    return (fake_batch(signature), time.monotonic(), 0, units)
 
 
 def make_tenant(tenant_id, name, weight, max_depth=10_000):
@@ -421,10 +421,10 @@ def make_tenant(tenant_id, name, weight, max_depth=10_000):
 class TestDeficitScheduler:
     def test_estimate_units_is_rows_times_visible_subsets(self):
         scheduler = _FairScheduler(lambda *a: None, dispatchers=0, max_queue_depth=4)
-        structures = {"sig": SimpleNamespace(row_count=12)}
+        kernels = {"sig": SimpleNamespace(structure=SimpleNamespace(row_count=12))}
         batch = fake_batch("sig", tasks=2)
         # 2 tasks x 12 rows x (1 visible input + 1 visible output)
-        assert scheduler.estimate_units(batch, structures) == 48.0
+        assert scheduler.estimate_units(batch, kernels) == 48.0
         # Unknown structure degrades to 1 row, never below 1 unit/task.
         assert scheduler.estimate_units(batch, {}) == 4.0
         scheduler.stop()
