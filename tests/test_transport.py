@@ -515,6 +515,26 @@ class TestSocketServer:
             with pytest.raises((WorkerCrashError, ServiceError)):
                 client.gammas(entry_requests(relation))
 
+    def test_batch_larger_than_server_cache_still_completes(self, tmp_path):
+        # Two distinct structures in one request against a server whose
+        # registry cache holds one entry: entries are evicted mid-batch,
+        # but eviction drops cached entries, never a shipped structure,
+        # so the batch completes without a re-ship.
+        relations = [
+            ModuleRelation.random(f"B{i}", n_inputs=2, n_outputs=1, seed=95 + i)
+            for i in range(2)
+        ]
+        requests = [req for r in relations for req in entry_requests(r)]
+        baseline = ShardCoordinator(0).gammas(requests)
+        path = str(tmp_path / "pin.sock")
+        with GammaServer(("unix", path), total_budget_bytes=1) as server:
+            with ShardCoordinator(address=server.address, task_timeout=20.0) as client:
+                assert client.gammas(requests) == baseline
+            stats = server.stats()
+        assert stats["cross_evictions"] > 0
+        assert stats["kernels"] == 2
+        assert stats["server_errors"] == 0
+
     def test_cli_serve_sigterm_snapshots_and_unlinks(self, tmp_path):
         # SIGTERM (kill, supervisors, container stop) must take the same
         # orderly close as Ctrl-C: exit 0, warm kernels snapshotted, the
@@ -584,6 +604,56 @@ class TestSocketServer:
         shipped = sorted(signature for batch in sent for signature in batch.structures)
         assert shipped == sorted(r.structure_signature.signature for r in relations)
         assert kernels == 3
+
+    def test_server_rejects_empty_structure_cache(self, tmp_path):
+        # Structures live in the registry for the server's lifetime: no
+        # cap exists that could be set to zero, on either side.
+        path = tmp_path / "x.sock"
+        with pytest.raises(TypeError):
+            GammaServer(("unix", str(path)), structure_cache_size=0)
+        assert not path.exists()
+        with pytest.raises(TypeError):
+            ShardCoordinator(0, structure_cache_size=0)
+
+    def test_server_reships_structures_after_cache_eviction(
+        self, tmp_path, monkeypatch
+    ):
+        # A server restarted on the same address starts with an empty
+        # registry: the client reconnects and ships every structure its
+        # next batches need again, once per new connection.
+        relations = [
+            ModuleRelation.random(f"N{i}", n_inputs=2, n_outputs=1, seed=90 + i)
+            for i in range(3)
+        ]
+        baselines = [ShardCoordinator(0).gammas(entry_requests(r)) for r in relations]
+        sent: list[GammaBatch] = []
+        submit = SocketTransport.submit
+
+        def recording_submit(transport, batch):
+            sent.append(batch)
+            submit(transport, batch)
+
+        monkeypatch.setattr(SocketTransport, "submit", recording_submit)
+        address = ("unix", str(tmp_path / "restart.sock"))
+        first = GammaServer(address).start()
+        try:
+            client = ShardCoordinator(address=first.address, task_timeout=20.0)
+            for relation, baseline in zip(relations, baselines):
+                assert client.gammas(entry_requests(relation)) == baseline
+        finally:
+            first.close()
+        try:
+            with GammaServer(address) as second:
+                for relation, baseline in zip(relations, baselines):
+                    assert client.gammas(entry_requests(relation)) == baseline
+                assert second.stats()["kernels"] == 3
+            assert client.worker_restarts >= 1
+        finally:
+            client.close()
+        shipped = sorted(signature for batch in sent for signature in batch.structures)
+        assert shipped == sorted(
+            r.structure_signature.signature for r in relations for _ in range(2)
+        )
 
     def test_task_for_an_unshipped_structure_fails_closed(self, tmp_path):
         relation = ModuleRelation.random("U", seed=84)
