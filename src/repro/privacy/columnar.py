@@ -8,7 +8,10 @@ column per relation row).  Refinement and grouping are *sort-free
 counting passes*: domain positions are small dense ints, so one
 ``(block, value)`` key per row fits a dense scatter table and a
 :func:`np.cumsum` rank pass -- O(rows + blocks·domain) per column
-instead of O(rows log rows) ``np.unique``/``argsort`` passes.  The
+instead of O(rows log rows) ``np.unique``/``argsort`` passes -- and one
+mixed-radix ``(block, visible-output projection)`` key per row fits a
+boolean ``blocks x R`` occupancy table (``R`` the product of the visible
+output domains) whose row sums are the entry's distinct counts.  The
 sort-based implementations are kept as ``reference_*`` oracles (and as
 the automatic fallback when a degenerate key space would out-size the
 relation).
@@ -48,6 +51,12 @@ def _dense_space_ok(space: int, rows: int) -> int:
     relations never trip it) the caller falls back to the sort-based
     reference pass -- which produces the *same values*, so the guard is
     invisible to results, cache payloads and eviction sequences.
+
+    The bound budgets the output fold's 9 bytes per cell (a bool
+    occupancy cell plus its ``int64`` cumsum rank), about 36 bytes per
+    row.  :meth:`NumpyTable.fused_entry`'s occupancy table is bool only,
+    so it asks with ``8·rows``: up to ``32·rows + 1024`` one-byte cells,
+    within the same transient memory.
     """
     return space <= 4 * rows + 1024
 
@@ -193,11 +202,13 @@ class NumpyTable:
         Sort-free counting pass: each row's ``(block, value)`` key is one
         cell of a dense ``blocks x domain`` table, so a reversed scatter
         pins every key's *first* occurrence position (the last write in
-        reversed order is the earliest position), and a cumsum over marks
-        at those positions ranks the keys in first-occurrence order (the
-        ids a dict numbering each new key would assign) in
-        O(rows + blocks·domain) with no comparison sort.  Degenerate key
-        spaces fall back to the (value-identical) sort-based oracle.
+        reversed order is the earliest position).  A row is its key's
+        first occurrence exactly when that position is its own, so a
+        cumsum over ``first_of_row == row`` ranks the keys in
+        first-occurrence order (the ids a dict numbering each new key
+        would assign) in O(rows + blocks·domain) with no comparison sort.
+        Degenerate key spaces fall back to the (value-identical)
+        sort-based oracle.
         """
         rows = base.size
         if rows == 0:
@@ -207,12 +218,11 @@ class NumpyTable:
         if not _dense_space_ok(space, rows):
             return self.reference_refine(base, input_index)
         combined = base * domain + self.input_matrix[input_index]
+        positions = np.arange(rows, dtype=np.int64)
         first = np.empty(space, dtype=np.int64)
-        first[combined[::-1]] = np.arange(rows - 1, -1, -1, dtype=np.int64)
+        first[combined[::-1]] = positions[::-1]
         first_of_row = first[combined]
-        marks = np.zeros(rows, dtype=np.int64)
-        marks[first_of_row] = 1
-        ranks = np.cumsum(marks)
+        ranks = np.cumsum(first_of_row == positions, dtype=np.int64)
         ranks -= 1
         return ranks[first_of_row]
 
@@ -263,25 +273,46 @@ class NumpyTable:
         return code, ncodes
 
     def fused_entry(self, partition, blocks: int, visible_outputs: tuple[int, ...]):
-        """Distinct visible-output projections per block, one fused pass.
+        """Distinct visible-output projections per block, one occupancy pass.
 
-        The entry kernel's counting stage: starts from the partition's
-        block ids as the seed group code (so the block is fused into the
-        projection key from the first column), folds every visible
-        output column through the dense sort-free re-compression, then
-        scatters one representative row per final code to attribute it
-        to its owning block.  Replaces three ``np.unique`` passes per
-        entry with counting passes.
+        The entry kernel's counting stage.  Each row gets one mixed-radix
+        key ``block·R + Σ output·stride``, where ``R`` is the product of
+        the visible output domains, so keys of one block fill one row of
+        a boolean ``blocks x R`` occupancy table.  One scatter marks
+        every present ``(block, projection)`` key, and a block's count is
+        the number of occupied cells in its row -- summed straight into
+        ``int64``.  Two cases skip the table: a partition with one row
+        per block (every input visible on a full-domain table) counts one
+        projection per block, and a table past the ``32·rows + 1024``
+        cells :func:`_dense_space_ok` allows it falls back to the
+        :meth:`_fold_output_codes` fold, whose ``np.unique`` keeps
+        degenerate key spaces within O(rows) memory.  Values equal
+        :meth:`reference_distinct_projections` either way.
         """
-        if partition.size == 0:
+        rows = partition.size
+        if rows == 0:
             return np.zeros(blocks, dtype=np.int64)
-        code, ncodes = self._fold_output_codes(
-            partition, blocks, visible_outputs, None
-        )
-        representative = np.empty(ncodes, dtype=np.int64)
-        representative[code] = np.arange(partition.size, dtype=np.int64)
-        owners = partition[representative]
-        return np.bincount(owners, minlength=blocks).astype(np.int64, copy=False)
+        if blocks == rows:
+            return np.ones(blocks, dtype=np.int64)
+        radix = 1
+        for output in visible_outputs:
+            radix *= self.output_domain_sizes[output]
+        if not _dense_space_ok(blocks * radix, 8 * rows):
+            code, ncodes = self._fold_output_codes(
+                partition, blocks, visible_outputs, None
+            )
+            representative = np.empty(ncodes, dtype=np.int64)
+            representative[code] = np.arange(rows, dtype=np.int64)
+            owners = partition[representative]
+            return np.bincount(owners, minlength=blocks).astype(np.int64, copy=False)
+        key = partition * radix
+        stride = radix
+        for output in visible_outputs:
+            stride //= self.output_domain_sizes[output]
+            key += self.output_matrix[output] * stride
+        occupied = np.zeros(blocks * radix, dtype=np.bool_)
+        occupied[key] = True
+        return occupied.reshape(blocks, radix).sum(axis=1, dtype=np.int64)
 
     def reference_distinct_projections(
         self, partition, blocks: int, visible_outputs: tuple[int, ...]
@@ -418,8 +449,8 @@ class NumpyTable:
 
         Vectorized gather: the sampled rows' visible-output columns are
         folded into a dense group code seeded by the owning block id
-        through the same sort-free re-compression as
-        :meth:`fused_entry`, then tallied once per distinct
+        through the sort-free re-compression of
+        :meth:`_fold_output_codes`, then tallied once per distinct
         ``(block, projection)`` code -- one counting pass per wave
         instead of two ``np.unique`` sorts.
         """

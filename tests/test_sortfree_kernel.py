@@ -11,7 +11,12 @@
   a kernel running on it through ``install_table`` produces the same
   payloads, costs, eviction sequences and counters;
 * **round-trips** -- strata payloads freeze/thaw and preload without
-  recomputation, and float ``*_ms`` timers survive the stats merge.
+  recomputation, and float ``*_ms`` timers survive the stats merge;
+* **each entry case** -- the occupancy table on ``large_cold_inproc``'s
+  10 000-row shape, one row per block, the fold fallback past the
+  table's bound (a spy on ``_fold_output_codes`` shows which ran), no
+  visible outputs and an empty partition, and swept kernel payloads
+  identical to the tuple/dict table's.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.privacy.kernel_registry import (
     GammaKernelRegistry,
     RelationStructure,
 )
+from repro.privacy.relations import ModuleRelation
 from repro.service.protocol import merge_kernel_stats
 
 RELAXED = settings(
@@ -442,3 +448,141 @@ class TestPayloadRoundTrips:
             assert aggregate[key] == stats[key]
         assert stats["partition_build_ms"] > 0.0
         assert stats["strata_build_ms"] > 0.0
+
+
+@pytest.fixture(scope="module")
+def large_structure():
+    """``large_cold_inproc``'s relation shape: 10 000 rows, 4 inputs of
+    domain 10, 2 outputs of domain 10."""
+    return ModuleRelation.random(
+        "L", n_inputs=4, n_outputs=2, domain_size=10, seed=26
+    ).structure_signature
+
+
+def _wide_output_structure() -> RelationStructure:
+    """100 rows whose two outputs span domains of 100: with one input
+    visible, 10 blocks x 100² projections exceed the occupancy bound, while
+    one output alone (10 x 100 cells) stays within it."""
+    inputs = list(itertools.product(range(10), repeat=2))
+    return RelationStructure(
+        input_domain_sizes=(10, 10),
+        output_domain_sizes=(100, 100),
+        input_columns=tuple(
+            tuple(key[column] for key in inputs) for column in range(2)
+        ),
+        output_columns=(
+            tuple((7 * row) % 100 for row in range(len(inputs))),
+            tuple((99 - row) % 100 for row in range(len(inputs))),
+        ),
+    )
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Every call ``NumpyTable._fold_output_codes`` receives, in order."""
+    calls: list[tuple[int, ...]] = []
+    fold = NumpyTable._fold_output_codes
+
+    def spy(self, code, ncodes, visible_outputs, index):
+        calls.append(tuple(visible_outputs))
+        return fold(self, code, ncodes, visible_outputs, index)
+
+    monkeypatch.setattr(NumpyTable, "_fold_output_codes", spy)
+    return calls
+
+
+def _fused_entries_match(structure) -> None:
+    """``fused_entry`` equals the sort-based reference and the tuple/dict
+    table on every visibility pair of ``structure``."""
+    _, output_sets = _visibility_chains(structure)
+    for numpy_state, pure_state in _oracle_states(structure):
+        table, partition = numpy_state.table, numpy_state.partition
+        blocks = columnar.block_count(partition)
+        for outputs in output_sets:
+            got = table.fused_entry(partition, blocks, outputs)
+            assert got.dtype == np.int64
+            assert freeze(got) == freeze(
+                table.reference_distinct_projections(partition, blocks, outputs)
+            )
+            assert freeze(got) == tuple(
+                pure_state.table.fused_entry(pure_state.partition, blocks, outputs)
+            )
+
+
+class TestOccupancyEntry:
+    """Each case of ``fused_entry``: the occupancy table, one row per
+    block, and the fold fallback past the table's memory bound."""
+
+    def test_large_shape_uses_the_occupancy_table(self, large_structure, fold_calls):
+        _fused_entries_match(large_structure)
+        assert fold_calls == []
+
+    def test_wide_outputs_fall_back_to_the_fold(self, fold_calls):
+        structure = _wide_output_structure()
+        table = NumpyTable.from_structure(structure)
+        partition = table.refine(table.initial_partition(), 0)
+        assert columnar.block_count(partition) == 10
+        table.fused_entry(partition, 10, (0,))
+        assert fold_calls == []
+        table.fused_entry(partition, 10, (0, 1))
+        assert fold_calls == [(0, 1)]
+        _fused_entries_match(structure)
+
+    def test_one_row_per_block_counts_one_projection_each(self, fold_calls):
+        structure = _wide_output_structure()
+        table = NumpyTable.from_structure(structure)
+        partition = table.refine(table.refine(table.initial_partition(), 0), 1)
+        for outputs in ((), (0,), (0, 1)):
+            got = table.fused_entry(partition, partition.size, outputs)
+            assert got.dtype == np.int64
+            assert got.tolist() == [1] * partition.size
+        assert fold_calls == []
+
+    def test_no_visible_outputs_and_empty_partition(self):
+        structure = degenerate_structures()[0]
+        table = NumpyTable.from_structure(structure)
+        pure = PureTable(structure)
+        partition = table.refine(table.initial_partition(), 0)
+        got = table.fused_entry(partition, 1, ())
+        assert got.tolist() == pure.fused_entry(tuple(partition.tolist()), 1, ())
+        assert got.tolist() == [1]
+        empty_structure = _structure(
+            lambda domain, count: [], input_domains=[3], output_domains=[2], rows=0
+        )
+        empty_table = NumpyTable.from_structure(empty_structure)
+        empty = empty_table.initial_partition()
+        for outputs in ((), (0,)):
+            got = empty_table.fused_entry(empty, 0, outputs)
+            assert got.dtype == np.int64
+            assert got.size == 0
+            assert freeze(got) == freeze(
+                empty_table.reference_distinct_projections(empty, 0, outputs)
+            )
+            assert freeze(got) == tuple(
+                PureTable(empty_structure).fused_entry((), 0, outputs)
+            )
+
+    def test_swept_payloads_equal_the_tuple_table(self, large_structure):
+        """After a full visibility sweep the exported entries of a numpy
+        kernel equal a ``PureTable`` kernel's, key for key and value for
+        value, and every cached count array is ``int64``."""
+        input_sets, output_sets = _visibility_chains(large_structure)
+        exports = {}
+        for name in TABLES:
+            kernel = use_table(
+                GammaKernelRegistry().ensure_kernel(large_structure), name
+            )
+            for visible_inputs in input_sets:
+                for visible_outputs in output_sets:
+                    kernel.entry(visible_inputs, visible_outputs)
+            exports[name] = kernel.export_entries()
+            if name == "numpy":
+                kernel_payloads = [
+                    payload
+                    for key, (payload, _) in kernel._entries.items()
+                    if key[0] == "kernel"
+                ]
+                assert len(kernel_payloads) == len(input_sets) * len(output_sets)
+                for _, counts, _ in kernel_payloads:
+                    assert counts.dtype == np.int64
+        assert exports["numpy"] == exports["pure"]
