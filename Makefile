@@ -10,7 +10,10 @@
 # suites and writes a BENCH_<date>.json perf snapshot; `make bench-check`
 # re-runs the suites and fails on a >30% regression of the guarded
 # (kernel/adversary) ops versus the committed baseline in
-# benchmarks/baselines/; `make lint` is a dependency-free sanity pass
+# benchmarks/baselines/; `make bench-floors` runs only the speedup floors
+# (ratios of two paths timed in one run, so runner speed cancels out),
+# named file by file because bench_*.py is not collected by default;
+# `make lint` is a dependency-free sanity pass
 # (byte-compiles every tree we ship); `make clean` removes bytecode and
 # tool caches.  The columnar kernel has one backend (numpy); tier-1 holds
 # it to the tuple/dict reference table in tests/columnar_oracle.py.
@@ -18,7 +21,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-conformance test-chaos test-tls bench bench-check lint clean
+.PHONY: test test-conformance test-chaos test-tls bench bench-check bench-floors lint clean
 
 # Extra pytest selection flags (CI's tier-1 step passes
 # PYTEST_FLAGS='-k "not conformance"' because the conformance matrix
@@ -42,6 +45,14 @@ bench:
 
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
+
+BENCH_FLOORS = \
+	benchmarks/bench_core_operations.py::test_kernel_refinement_speedup_floor \
+	benchmarks/bench_core_operations.py::test_kernel_fused_entry_speedup_floor \
+	benchmarks/bench_service.py::test_inprocess_gammas_overhead_floor
+
+bench-floors:
+	$(PYTHON) -m pytest -q $(BENCH_FLOORS)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench

@@ -40,6 +40,14 @@ And one from ISSUE 10:
   asserted; the ratio is informational only (the op name deliberately
   carries no guarded marker).
 
+And a floor on in-process dispatch:
+
+* **direct in-process calls** -- a warm 2-task ``ShardCoordinator(0)
+  .gammas()`` costs at most 4x the two ``SharedGammaKernel.entry``
+  reads it answers from (a batch round trip per call measured ~30x).
+  A within-run ratio, so runner speed cancels out; ``make
+  bench-floors`` checks it with the other speedup floors.
+
 The ``service``-named benchmarks are regression-guarded by
 ``check_regression.py``.
 """
@@ -55,6 +63,7 @@ import sys
 import tempfile
 import time
 
+from bench_core_operations import _best_seconds
 from repro.experiments.e9_sharding import E9Config, workload_requests
 from repro.experiments.e10_transport import E10Config, build_requirements
 from repro.privacy.workflow_privacy import exact_secure_view
@@ -65,6 +74,10 @@ CONFIG = E9Config(n_inputs=3, n_outputs=3, domain_size=4, seed=71)
 
 #: Structures per sweep: enough work that dispatch overhead amortizes.
 SWEEP_MODULES = 24
+
+#: Calls per timed round of the in-process overhead floor: one warm call
+#: takes microseconds, too short to time alone.
+OVERHEAD_CALLS = 2000
 
 
 def _cold_work(stats: dict[str, int]) -> int:
@@ -89,6 +102,46 @@ def test_service_inprocess_sweep(benchmark):
     )
     assert len(gammas) == len(requests)
     assert min(gammas) >= 1
+
+
+def test_inprocess_gammas_overhead_floor():
+    """A warm 2-task in-process gammas() costs <= 4x its two kernel reads.
+
+    ``ShardCoordinator(0)`` reads each request straight from the
+    transport's kernel: no request id, batch, report or pump.  Timed
+    directly (not via pytest-benchmark), like the speedup floors in
+    ``bench_core_operations.py``, because it compares two paths against
+    each other, not against history.
+    """
+    sweep = workload_requests(2, CONFIG)
+    requests = [sweep[1], sweep[len(sweep) // 2 + 1]]
+    coordinator = ShardCoordinator(0)
+    expected = coordinator.gammas(requests)  # adopts and warms both kernels
+    kernels = coordinator.transport.kernels
+    reads = [
+        (kernels[structure.signature], visible_inputs, visible_outputs)
+        for structure, visible_inputs, visible_outputs in requests
+    ]
+    assert [kernel.entry(vi, vo)[2] for kernel, vi, vo in reads] == expected
+
+    def through_service():
+        for _ in range(OVERHEAD_CALLS):
+            coordinator.gammas(requests)
+
+    def kernel_reads():
+        for _ in range(OVERHEAD_CALLS):
+            for kernel, visible_inputs, visible_outputs in reads:
+                kernel.entry(visible_inputs, visible_outputs)
+
+    service_s, kernel_s = (
+        _best_seconds(run) for run in (through_service, kernel_reads)
+    )
+    ratio = service_s / kernel_s if kernel_s else float("inf")
+    per_call_us = service_s / OVERHEAD_CALLS * 1e6
+    assert ratio <= 4.0, (
+        f"in-process gammas() costs {ratio:.2f}x its kernel reads "
+        f"({per_call_us:.2f} us vs {kernel_s / OVERHEAD_CALLS * 1e6:.2f} us)"
+    )
 
 
 def test_service_sharded_sweep_equivalence_and_scaling(benchmark):

@@ -29,8 +29,9 @@ Two further accelerations sit on top of the kernel:
   routes the per-module Gamma evaluations of each search node to the
   evaluation service in one batch (structurally identical modules hit
   the same warm kernel) over any transport -- in-process, multiprocess
-  pool, or a socket to a shared server; ``workers=0`` coordinators fall
-  back to an in-process registry with byte-identical results;
+  pool, or a socket to a shared server; ``workers=0`` coordinators
+  evaluate in an in-process registry with byte-identical results, and
+  answer every Gamma of the solve there, so each key is computed once;
 * **pipelined frontier evaluation** -- ``pipeline_depth`` k > 1
   speculatively dispatches the Gamma batches of the top-k frontier
   nodes, correlates out-of-order completions by request id, and
@@ -200,11 +201,28 @@ class WorkflowPrivacyRequirements:
             self._scopes_cache = cache
         return cache
 
-    def gammas_for(self, hidden_labels: Iterable[str]) -> dict[str, int]:
-        """Privacy level of every private module when ``hidden_labels`` is hidden."""
+    def gammas_for(
+        self,
+        hidden_labels: Iterable[str],
+        *,
+        service: "ShardCoordinator | None" = None,
+    ) -> dict[str, int]:
+        """Privacy level of every private module when ``hidden_labels`` is hidden.
+
+        An in-process ``service`` (see :func:`_in_process`) answers every
+        module in one call; otherwise each Gamma comes from the
+        relation's local memoized kernel.
+        """
         hidden = set(hidden_labels)
+        scopes = self._label_scopes()
+        if _in_process(service):
+            answered = service.gammas(self.gamma_requests(hidden, range(len(scopes))))
+            return {
+                requirement.module_id: gamma
+                for (requirement, _), gamma in zip(scopes, answered)
+            }
         gammas: dict[str, int] = {}
-        for requirement, scope in self._label_scopes():
+        for requirement, scope in scopes:
             gammas[requirement.module_id] = requirement.relation.achieved_gamma(
                 hidden & scope
             )
@@ -267,22 +285,24 @@ class WorkflowPrivacyRequirements:
         This is the workhorse of the exact solver's cross-module
         incremental bound: a search node only re-checks the modules its
         parent left unsatisfied (Gamma is monotone in the hidden set, so
-        satisfied modules stay satisfied in every descendant).  With a
-        ``service`` and two or more checked modules, their Gamma
-        evaluations are shipped to the sharded evaluation service as one
-        batch; a single checked module, or no service, reads each Gamma
-        from the relation's local memoized kernel.
+        satisfied modules stay satisfied in every descendant).  An
+        in-process ``service`` (see :func:`_in_process`) answers every
+        check, so each key is computed once, on its kernel.  A remote
+        ``service`` gets the checks of two or more modules as one batch
+        and leaves a single checked module to the relation's local
+        memoized kernel, which saves a round trip; with no service every
+        Gamma is read locally.
 
         ``first_only`` short-circuits at the first unsatisfied module --
         for callers that only need feasibility (is *anything* unmet?),
         not the full set.  The service path still evaluates the whole
-        batch: one round trip beats per-module short-circuiting.
+        batch: one call beats per-module short-circuiting.
         """
         hidden = set(hidden_labels)
         scopes = self._label_scopes()
         if indices is None:
             indices = range(len(scopes))
-        if service is not None and len(indices) > 1:
+        if service is not None and (len(indices) > 1 or _in_process(service)):
             gammas = service.gammas(self.gamma_requests(hidden, indices))
             return self.narrow(indices, gammas)
         unsatisfied = []
@@ -299,9 +319,14 @@ class WorkflowPrivacyRequirements:
         return {r.module_id: r.gamma for r in self.requirements}
 
     def _result(
-        self, hidden: set[str], *, optimal: bool, evaluations: int
+        self,
+        hidden: set[str],
+        *,
+        optimal: bool,
+        evaluations: int,
+        service: "ShardCoordinator | None" = None,
     ) -> SecureViewResult:
-        gammas = self.gammas_for(hidden)
+        gammas = self.gammas_for(hidden, service=service)
         return SecureViewResult(
             hidden_labels=frozenset(hidden),
             cost=self.cost_of(hidden),
@@ -313,6 +338,16 @@ class WorkflowPrivacyRequirements:
             optimal=optimal,
             evaluations=evaluations,
         )
+
+
+def _in_process(service: object) -> bool:
+    """Whether ``service`` evaluates in this process.
+
+    Such a service answers a call at about the cost of the kernel reads
+    themselves, so the solver sends it every Gamma.  A service without an
+    ``in_process`` attribute counts as remote.
+    """
+    return getattr(service, "in_process", False)
 
 
 # ---------------------------------------------------------------------- #
@@ -342,7 +377,10 @@ def exact_secure_view(
     Gamma evaluations as one batch on the sharded evaluation service (in
     parallel across worker processes).  At ``pipeline_depth`` 1 a node
     that re-checks a single module answers it from that relation's
-    local kernel even then: the ``len(indices) > 1`` test in
+    local kernel when the service is remote, saving a round trip.  An
+    in-process service (``ShardCoordinator(0)``) answers every check and
+    the result's ``module_gammas`` directly from its own kernels, so the
+    relations' kernels stay cold and each key is computed once.
     :meth:`WorkflowPrivacyRequirements.unsatisfied_indices` picks the
     path.  Results are identical either way.
 
@@ -392,7 +430,7 @@ def exact_secure_view(
         )
         if not unsatisfied:
             return requirements._result(
-                set(subset), optimal=True, evaluations=evaluations
+                set(subset), optimal=True, evaluations=evaluations, service=service
             )
         if next_position >= len(order):
             continue
@@ -503,7 +541,10 @@ def _exact_secure_view_pipelined(
                 if bound_request is not None:
                     service.discard(bound_request)
                 return requirements._result(
-                    set(subset), optimal=True, evaluations=evaluations
+                    set(subset),
+                    optimal=True,
+                    evaluations=evaluations,
+                    service=service,
                 )
             if next_position >= len(order):
                 continue

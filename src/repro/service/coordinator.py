@@ -23,7 +23,12 @@ shards evaluate genuinely in parallel.
 Two client APIs:
 
 * the synchronous :meth:`~ShardCoordinator.evaluate` /
-  :meth:`~ShardCoordinator.gammas` of PR 3, unchanged in semantics;
+  :meth:`~ShardCoordinator.gammas` of PR 3, unchanged in semantics.  On
+  an in-process transport (:attr:`~ShardCoordinator.in_process`) they
+  read every request straight from the transport's kernel, under the
+  coordinator lock: no request id, batch, report or pump, so each
+  ``(structure, visible inputs, visible outputs)`` key a caller asks is
+  computed once, on one kernel;
 * an asynchronous :meth:`~ShardCoordinator.submit` /
   :meth:`~ShardCoordinator.collect` / :meth:`~ShardCoordinator.discard`
   triple keyed by *request id*.  A pipelining caller (the secure-view
@@ -79,6 +84,7 @@ from repro.service.protocol import (
     GammaTask,
     ShardReport,
     TaskResult,
+    check_want,
     merge_kernel_stats,
     shard_of,
 )
@@ -88,12 +94,16 @@ from repro.service.transport import (
     TransportSendError,
     build_transport,
 )
+from repro.service.worker import task_result
 
 #: One evaluation request: (canonical structure, visible inputs, visible outputs).
 GammaRequest = tuple[RelationStructure, tuple[int, ...], tuple[int, ...]]
 
 #: How many per-batch dispatch latencies are retained for percentiles.
 LATENCY_WINDOW = 8192
+
+#: The dispatch-latency percentiles of :meth:`ShardCoordinator.service_stats`.
+LATENCY_KEYS = ("p50_ms", "p90_ms", "p99_ms", "max_ms")
 
 
 class _PendingRequest:
@@ -189,10 +199,11 @@ class ShardCoordinator:
                 auth_token=auth_token,
             )
         self.transport = transport
+        #: The transport whose kernels :meth:`evaluate` and :meth:`gammas`
+        #: read directly, or ``None`` when evaluation runs elsewhere.
+        self._local = transport if isinstance(transport, InProcessTransport) else None
         #: Kept for introspection/compat: 0 means "no local worker pool".
-        self.workers = (
-            0 if isinstance(transport, InProcessTransport) else transport.shard_count
-        )
+        self.workers = 0 if self._local is not None else transport.shard_count
         self.task_timeout = float(task_timeout)
         self._task_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
@@ -230,8 +241,8 @@ class ShardCoordinator:
         #: client threads may submit/collect concurrently.  Reentrant:
         #: evaluate() -> collect() -> _pump all run under one holder.
         #: Evaluation itself is only serialized on the in-process
-        #: transport (whose submit computes synchronously under this
-        #: lock -- the registry is not thread-safe); remote and
+        #: transport (whose submit and direct reads compute synchronously
+        #: under this lock -- the registry is not thread-safe); remote and
         #: multiprocess shards keep evaluating in parallel because the
         #: lock is released while their processes work and only taken for
         #: the 50 ms poll slices of the pump.
@@ -448,15 +459,67 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
     # Synchronous evaluation API (PR 3 surface, unchanged semantics)
     # ------------------------------------------------------------------ #
+    @property
+    def in_process(self) -> bool:
+        """Whether evaluation runs in this process (an in-process transport).
+
+        Then :meth:`evaluate` and :meth:`gammas` answer directly from the
+        transport's kernels, and a caller gains nothing by answering any
+        check from a kernel of its own: the secure-view solver sends
+        every Gamma of a solve to such a service.
+        """
+        return self._local is not None
+
     def evaluate(
         self, requests: Iterable[GammaRequest], *, want: str = WANT_GAMMA
     ) -> list[TaskResult]:
-        """Evaluate every request, preserving request order in the result."""
-        return self.collect(self.submit(requests, want=want))
+        """Evaluate every request, preserving request order in the result.
+
+        Remote and multiprocess transports run one ``submit`` +
+        ``collect``.  In process, each request is read straight from the
+        transport's kernel (:meth:`InProcessTransport.entries
+        <repro.service.transport.InProcessTransport.entries>`) under the
+        coordinator lock, through the per-task code a batch runs, so the
+        results are identical.
+        """
+        if self._local is None:
+            return self.collect(self.submit(requests, want=want))
+        check_want(want)
+        with self._lock:
+            requests = self._direct(requests)
+            return [
+                task_result(next(self._task_ids), structure.signature, want, entry)
+                for (structure, _, _), entry in zip(
+                    requests, self._local.entries(requests)
+                )
+            ]
 
     def gammas(self, requests: Iterable[GammaRequest]) -> list[int]:
-        """Just the Gamma of every request, in request order."""
-        return [result.gamma for result in self.evaluate(requests)]
+        """Just the Gamma of every request, in request order.
+
+        In process this reads each Gamma from its kernel entry and builds
+        no :class:`TaskResult`.
+        """
+        if self._local is None:
+            return [result.gamma for result in self.evaluate(requests)]
+        with self._lock:
+            requests = self._direct(requests)
+            return [entry[2] for entry in self._local.entries(requests)]
+
+    def _direct(self, requests: Iterable[GammaRequest]) -> list[GammaRequest]:
+        """``requests`` as a list, counted as one batch of its tasks.
+
+        The bookkeeping of a direct in-process call (caller holds the
+        lock), so E9/E10 task and batch counts keep their meaning.  A
+        direct call adds no dispatch-latency sample and no shard report.
+        """
+        if self._closed:
+            raise ServiceError("coordinator is closed")
+        requests = list(requests)
+        if requests:
+            self._tasks_dispatched += len(requests)
+            self._batches_dispatched += 1
+        return requests
 
     # ------------------------------------------------------------------ #
     # Dispatch and the result pump
@@ -680,7 +743,8 @@ class ShardCoordinator:
 
         This is where "where does wall-clock go" comes from in E10 and
         ``bench_service``: transport time is the gap between these and
-        pure kernel time.
+        pure kernel time.  Empty until a batch completes; direct
+        in-process calls (:attr:`in_process`) add no samples.
         """
         if not self._latencies_ms:
             return {}
@@ -698,7 +762,12 @@ class ShardCoordinator:
         }
 
     def service_stats(self) -> dict[str, object]:
-        """Coordinator-side dispatch counters (for experiment tables)."""
+        """Coordinator-side dispatch counters (for experiment tables).
+
+        A direct in-process call counts as one batch of its tasks.  The
+        latency percentiles read 0.0 while no batch has completed, which
+        is always the case for a coordinator that only made direct calls.
+        """
         stats: dict[str, object] = {
             "transport": self.transport.name,
             "workers": self.workers,
@@ -711,6 +780,7 @@ class ShardCoordinator:
             "worker_restarts": self.worker_restarts,
             "preloaded_entries": self.preloaded_entries,
             "overloads": self._overloads,
+            **dict.fromkeys(LATENCY_KEYS, 0.0),
             **self.latency_percentiles(),
         }
         # Group-construction attribution (sort-free kernel satellite):

@@ -112,6 +112,12 @@ def shard_of(signature: str, shards: int) -> int:
     return int(signature[:16], 16) % shards
 
 
+def check_want(want: str) -> None:
+    """Raise :class:`ServiceError` unless ``want`` is a task payload kind."""
+    if want not in (WANT_GAMMA, WANT_ENTRY):
+        raise ServiceError(f"unknown task payload kind {want!r}")
+
+
 @dataclass(frozen=True)
 class GammaTask:
     """One Gamma evaluation: a structure signature plus a visibility pair."""
@@ -123,8 +129,7 @@ class GammaTask:
     want: str = WANT_GAMMA
 
     def __post_init__(self) -> None:
-        if self.want not in (WANT_GAMMA, WANT_ENTRY):
-            raise ServiceError(f"unknown task payload kind {self.want!r}")
+        check_want(self.want)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ through the same six verbs (``unshipped`` / ``submit`` / ``poll`` /
 
 * :class:`InProcessTransport` -- no processes, no queues: ``submit``
   evaluates the batch synchronously against a local registry and queues
-  the completion message.  This is the ``workers=0`` fallback and the
-  oracle every other transport is property-tested byte-identical
-  against.
+  the completion message, and :meth:`~InProcessTransport.entries` reads
+  requests straight from that registry with no batch at all (the
+  coordinator's synchronous calls).  This is the ``workers=0`` fallback
+  and the oracle every other transport is property-tested
+  byte-identical against.
 * :class:`MultiprocessTransport` -- PR 3's sharded worker pool (one
   :class:`~repro.privacy.kernel_registry.GammaKernelRegistry` shard per
   process, queues per shard, crash detection by liveness probe,
@@ -50,7 +52,7 @@ import socket
 import ssl
 import time
 from collections import deque
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ServiceAuthError, ServiceError, WorkerCrashError
 from repro.privacy.kernel_registry import (
@@ -82,7 +84,7 @@ from repro.service.security import (
     expect_auth_reply,
     send_token,
 )
-from repro.service.worker import process_batch, serve_shard
+from repro.service.worker import kernel_entries, process_batch, serve_shard
 
 #: The one connect/probe timeout default for the whole socket layer.
 #: ``connect()``, :func:`probe_endpoint`, :class:`SocketTransport` and
@@ -283,10 +285,14 @@ class InProcessTransport(Transport):
 
     ``submit`` runs :func:`~repro.service.worker.process_batch` --
     literally the code a worker process would run -- and queues the
-    completion message for ``poll``, so the coordinator drives the
-    in-process and sharded paths through one code path and the results
-    are byte-identical by construction.  The socket server owns one of
-    these as its registry and calls :meth:`evaluate` per batch.
+    completion message for ``poll``, so the coordinator's
+    ``submit``/``collect`` drive the in-process and sharded paths through
+    one code path.  The coordinator's synchronous ``evaluate``/``gammas``
+    skip the batch: :meth:`entries` reads each request from its kernel
+    through the same per-task loop
+    (:func:`~repro.service.worker.kernel_entries`), so the results are
+    byte-identical by construction either way.  The socket server owns
+    one of these as its registry and calls :meth:`evaluate` per batch.
     """
 
     name = "inprocess"
@@ -312,8 +318,9 @@ class InProcessTransport(Transport):
         }
         #: Registry stats as of the last change through this transport:
         #: built once per batch, shipped in its report and copied out by
-        #: :meth:`live_kernel_stats` without being rebuilt.
-        self._stats = self._registry_stats()
+        #: :meth:`live_kernel_stats` without being rebuilt.  ``None``
+        #: after :meth:`entries` ran: rebuilt on the next read instead.
+        self._stats: dict[str, int] | None = self._registry_stats()
         self._ready: deque[tuple] = deque()
         self._closed = False
 
@@ -344,6 +351,31 @@ class InProcessTransport(Transport):
             if signature not in self._kernels:
                 self._kernels[signature] = self.registry.ensure_kernel(structure)
         self._stats = self._registry_stats()
+
+    def entries(
+        self, requests: Sequence[tuple[RelationStructure, Sequence[int], Sequence[int]]]
+    ) -> Iterator[tuple]:
+        """``(partition, counts, gamma)`` of every ``(structure,
+        visible_inputs, visible_outputs)`` request, in request order.
+
+        The direct path of the coordinator's synchronous calls: no task
+        or batch ids, no report, no queued message.  Unseen structures
+        go through :meth:`adopt` first.  The registry is not
+        thread-safe, so the caller serializes calls and consumes the
+        iterator before the next one.
+        """
+        kernels = self._kernels
+        keys = []
+        unseen: dict[str, RelationStructure] = {}
+        for structure, visible_inputs, visible_outputs in requests:
+            signature = structure.signature
+            if signature not in kernels:
+                unseen[signature] = structure
+            keys.append((signature, tuple(visible_inputs), tuple(visible_outputs)))
+        if unseen:
+            self.adopt(unseen)
+        self._stats = None
+        return kernel_entries(kernels, keys)
 
     def _registry_stats(self) -> dict[str, int]:
         return {
@@ -394,6 +426,8 @@ class InProcessTransport(Transport):
         return self._preloaded
 
     def live_kernel_stats(self) -> dict[str, int]:
+        if self._stats is None:
+            self._stats = self._registry_stats()
         return dict(self._stats)
 
     def export_kernel_entries(

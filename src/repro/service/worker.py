@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.privacy import columnar
 from repro.privacy.kernel_registry import GammaKernelRegistry, SharedGammaKernel
@@ -49,6 +49,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import multiprocessing.queues
 
 
+def kernel_entries(
+    kernels: Mapping[str, SharedGammaKernel],
+    keys: Iterable[tuple[str, tuple[int, ...], tuple[int, ...]]],
+) -> Iterator[tuple]:
+    """``(partition, counts, gamma)`` of every ``(signature, visible_inputs,
+    visible_outputs)`` key, in key order.
+
+    The per-task loop of every evaluation path: :func:`process_batch`
+    (worker processes, in-process batches, the socket server) and the
+    coordinator's direct in-process path
+    (:meth:`~repro.service.transport.InProcessTransport.entries`) read
+    each Gamma through it, so ``workers=0`` and ``workers=N`` run
+    literally the same code per task -- the byte-identical-results
+    guarantee rests on this.
+    """
+    for signature, visible_inputs, visible_outputs in keys:
+        kernel = kernels.get(signature)
+        if kernel is None:
+            raise KeyError(
+                f"shard received task for unknown structure {signature!r} "
+                "(batch did not ship it and no earlier batch did)"
+            )
+        yield kernel.entry(visible_inputs, visible_outputs)
+
+
+def task_result(task_id: int, signature: str, want: str, entry: tuple) -> TaskResult:
+    """The reply to one task from its kernel ``entry``.
+
+    ``want="entry"`` payloads are frozen to pure tuples so the reply is
+    plain data on the wire.
+    """
+    partition, counts, gamma = entry
+    if want == WANT_ENTRY:
+        return TaskResult(
+            task_id,
+            signature,
+            gamma,
+            columnar.freeze(counts),
+            columnar.freeze(partition),
+        )
+    return TaskResult(task_id, signature, gamma)
+
+
 def process_batch(
     batch: GammaBatch,
     kernels: dict[str, SharedGammaKernel],
@@ -56,39 +99,21 @@ def process_batch(
 ) -> tuple[TaskResult, ...]:
     """Evaluate one batch against the shard's registry.
 
-    Shared by the worker loop and the coordinator's in-process fallback,
-    so ``workers=0`` and ``workers=N`` run literally the same code per
-    task -- the byte-identical-results guarantee rests on this.
-    ``want="entry"`` payloads are frozen to pure tuples so the reply is
-    plain data on the wire.
+    Registers the structures the batch ships, then answers every task
+    through :func:`kernel_entries`, each under its own id and ``want``.
     """
     for signature, structure in batch.structures.items():
         if signature not in kernels:
             kernels[signature] = registry.ensure_kernel(structure)
-    results = []
-    for task in batch.tasks:
-        kernel = kernels.get(task.signature)
-        if kernel is None:
-            raise KeyError(
-                f"shard received task for unknown structure {task.signature!r} "
-                "(batch did not ship it and no earlier batch did)"
-            )
-        partition, counts, gamma = kernel.entry(
-            task.visible_inputs, task.visible_outputs
-        )
-        if task.want == WANT_ENTRY:
-            results.append(
-                TaskResult(
-                    task.task_id,
-                    task.signature,
-                    gamma,
-                    columnar.freeze(counts),
-                    columnar.freeze(partition),
-                )
-            )
-        else:
-            results.append(TaskResult(task.task_id, task.signature, gamma))
-    return tuple(results)
+    tasks = batch.tasks
+    entries = kernel_entries(
+        kernels,
+        ((task.signature, task.visible_inputs, task.visible_outputs) for task in tasks),
+    )
+    return tuple(
+        task_result(task.task_id, task.signature, task.want, entry)
+        for task, entry in zip(tasks, entries)
+    )
 
 
 def serve_shard(

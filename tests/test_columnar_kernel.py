@@ -257,8 +257,10 @@ class TestCoalescedDispatch:
 
     def test_uncoalesced_batches_report_their_one_request(self):
         # coalesce=0 takes the same buffered path, flushing at once.
+        # (In process, evaluate() reads kernels directly and sends no
+        # batch, so the request goes through submit/collect.)
         with ShardCoordinator(0) as coordinator:
-            coordinator.evaluate(self._workload(seed=47))
+            coordinator.collect(coordinator.submit(self._workload(seed=47)))
             reports = coordinator.shard_reports()
             stats = coordinator.service_stats()
         assert reports and all(report.coalesced_requests == 1 for report in reports)

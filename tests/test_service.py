@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import pickle
 import random as stdlib_random
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +32,7 @@ from repro.privacy.workflow_privacy import (
     exact_secure_view,
 )
 from repro.service import (
+    GammaServer,
     GammaTask,
     KernelSnapshotStore,
     ShardCoordinator,
@@ -473,6 +476,166 @@ class TestSecureViewIntegration:
             self._requirements(), result.hidden_labels, service=sharded
         )
         assert [r.summary() for r in local] == [r.summary() for r in remote]
+
+
+class _KeyRecordingCoordinator(ShardCoordinator):
+    """An in-process coordinator that records every key ``gammas`` is asked."""
+
+    def __init__(self) -> None:
+        super().__init__(0)
+        self.keys: set[tuple] = set()
+
+    def gammas(self, requests):
+        requests = list(requests)
+        self.keys.update(
+            (structure.signature, tuple(inputs), tuple(outputs))
+            for structure, inputs, outputs in requests
+        )
+        return super().gammas(requests)
+
+
+class TestDirectInProcessPath:
+    """``ShardCoordinator(0)`` answers synchronous calls from its kernels."""
+
+    @staticmethod
+    def _large_requirements():
+        # Two 10 000-row modules: 4 inputs and 2 outputs of domain 10,
+        # with the deeper of large_cold_inproc's Gamma targets.
+        requirements = WorkflowPrivacyRequirements()
+        for index, gamma in ((0, 8), (1, 20)):
+            requirements.add(
+                ModuleRelation.random(
+                    f"L{index}", n_inputs=4, n_outputs=2, domain_size=10, seed=90 + index
+                ),
+                gamma,
+            )
+        return requirements
+
+    def test_inprocess_solve_computes_each_key_once(self):
+        baseline = exact_secure_view(self._large_requirements())
+        requirements = self._large_requirements()
+        service = _KeyRecordingCoordinator()
+        result = exact_secure_view(requirements, service=service)
+        assert (
+            result.hidden_labels,
+            result.cost,
+            result.module_gammas,
+            result.evaluations,
+        ) == (
+            baseline.hidden_labels,
+            baseline.cost,
+            baseline.module_gammas,
+            baseline.evaluations,
+        )
+        # Every Gamma of the solve went to the service: the relations'
+        # own kernels never partitioned or counted anything.
+        for requirement in requirements.requirements:
+            stats = requirement.relation.kernel_stats
+            assert stats["grouping_passes"] == 0
+            assert stats["partition_refinements"] == 0
+        assert service.keys
+        assert service.kernel_stats()["grouping_passes"] == len(service.keys)
+
+    def test_concurrent_direct_calls_match_sequential(self):
+        relations = [
+            ModuleRelation.random(
+                f"T{index}", n_inputs=4, n_outputs=2, domain_size=5, seed=40 + index
+            )
+            for index in range(3)
+        ]
+        # The two callers start on the same structure, cold, at once.
+        gamma_requests = entry_requests(relations[0]) + entry_requests(relations[1])
+        entry_reqs = entry_requests(relations[0]) + entry_requests(relations[2])
+        distinct_keys = len(set(gamma_requests) | set(entry_reqs))
+
+        def entries_of(results):
+            return [(r.gamma, r.counts, r.partition) for r in results]
+
+        with ShardCoordinator(0) as oracle:
+            expected = {
+                "gammas": oracle.gammas(gamma_requests),
+                "entries": entries_of(oracle.evaluate(entry_reqs, want="entry")),
+            }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = ShardCoordinator(0)
+                calls = {
+                    "gammas": lambda: shared.gammas(gamma_requests),
+                    "entries": lambda: entries_of(
+                        shared.evaluate(entry_reqs, want="entry")
+                    ),
+                }
+                barrier = threading.Barrier(len(calls))
+                outcomes: dict[str, list] = {}
+
+                def run(name):
+                    barrier.wait()
+                    outcomes[name] = calls[name]()
+
+                threads = [
+                    threading.Thread(target=run, args=(name,)) for name in calls
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert outcomes == expected
+                # Serialized on the coordinator lock: no key was computed
+                # by both callers.
+                assert shared.kernel_stats()["grouping_passes"] == distinct_keys
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_in_process_only_for_the_inprocess_transport(self, tmp_path):
+        with ShardCoordinator(0) as local:
+            assert local.in_process
+        with ShardCoordinator(1, task_timeout=60.0) as pool:
+            assert not pool.in_process
+        with GammaServer(("unix", str(tmp_path / "gamma.sock"))) as server:
+            for coordinator in (
+                ShardCoordinator(address=server.address, task_timeout=60.0),
+                ShardCoordinator(endpoints=[server.address], task_timeout=60.0),
+            ):
+                with coordinator:
+                    assert not coordinator.in_process
+
+    def test_direct_calls_count_as_batches_and_keep_every_stat(self):
+        requests = entry_requests(ModuleRelation.random("P", seed=23))
+        direct = ShardCoordinator(0)
+        assert direct.gammas(requests) == [
+            result.gamma for result in direct.evaluate(requests)
+        ]
+        assert direct.gammas([]) == []
+        batched = ShardCoordinator(0)
+        for _ in range(2):
+            batched.collect(batched.submit(requests))
+        direct_stats, batched_stats = direct.service_stats(), batched.service_stats()
+        # One batch of its tasks per non-empty direct call.
+        assert (direct_stats["batches"], direct_stats["tasks"]) == (
+            2,
+            2 * len(requests),
+        )
+        assert set(direct_stats) == set(batched_stats)
+        # Direct calls add no latency sample: the percentiles read 0.0.
+        assert direct.latency_percentiles() == {}
+        assert direct_stats["p50_ms"] == direct_stats["max_ms"] == 0.0
+        assert direct.shard_reports() == ()
+        assert {
+            key: value for key, value in direct.kernel_stats().items() if "_ms" not in key
+        } == {
+            key: value for key, value in batched.kernel_stats().items() if "_ms" not in key
+        }
+
+    def test_direct_calls_validate_want_and_closing(self):
+        coordinator = ShardCoordinator(0)
+        requests = entry_requests(ModuleRelation.random("P", seed=24))
+        with pytest.raises(ServiceError, match="payload kind"):
+            coordinator.evaluate(requests, want="sample")
+        coordinator.close()
+        with pytest.raises(ServiceError, match="closed"):
+            coordinator.gammas(requests)
 
 
 class TestExperimentE9:
