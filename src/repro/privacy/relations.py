@@ -74,7 +74,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -148,7 +148,7 @@ class Attribute:
 
 
 def _position_matrix(
-    attributes: tuple[Attribute, ...], tuples: list[tuple]
+    attributes: tuple[Attribute, ...], tuples: Collection[tuple]
 ) -> np.ndarray:
     """The ``[len(attributes), rows]`` matrix of domain positions.
 
@@ -225,19 +225,26 @@ class ModuleRelation:
             raise PrivacyError(
                 f"module {module_id!r} has duplicate attribute names: {names!r}"
             )
-        keys = list(map(tuple, rows))
-        values = list(map(tuple, rows.values()))
+        if (
+            type(rows) is dict
+            and set(map(type, rows)) == {tuple}
+            and set(map(type, rows.values())) == {tuple}
+        ):
+            # Tuples already (the common case): copied in one C-level pass.
+            pairs: Mapping | Iterable = rows
+        else:
+            pairs = zip(list(map(tuple, rows)), list(map(tuple, rows.values())))
         try:
-            self._rows: dict[tuple, tuple] = dict(zip(keys, values))
+            self._rows: dict[tuple, tuple] = dict(pairs)
+            keys, values = self._rows.keys(), self._rows.values()
             if (
                 set(map(len, keys)) - {len(self.inputs)}
                 or set(map(len, values)) - {len(self.outputs)}
-                or len(self._rows) < len(keys)
+                or len(self._rows) < len(rows)
             ):
                 # A wrong arity, or equal keys collapsed: the row-by-row
                 # scan reports the first bad row, dropped rows included.
                 _check_rows(self.inputs, self.outputs, rows)
-                keys, values = list(self._rows), list(self._rows.values())
             if not self._rows:
                 raise PrivacyError(f"module {module_id!r} has an empty relation")
             input_matrix = _position_matrix(self.inputs, keys)
