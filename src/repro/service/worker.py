@@ -108,11 +108,13 @@ def process_batch(
     tasks = batch.tasks
     entries = kernel_entries(
         kernels,
-        ((task.signature, task.visible_inputs, task.visible_outputs) for task in tasks),
+        [(task.signature, task.visible_inputs, task.visible_outputs) for task in tasks],
     )
     return tuple(
-        task_result(task.task_id, task.signature, task.want, entry)
-        for task, entry in zip(tasks, entries)
+        [
+            task_result(task.task_id, task.signature, task.want, entry)
+            for task, entry in zip(tasks, entries)
+        ]
     )
 
 
