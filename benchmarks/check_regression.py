@@ -40,10 +40,7 @@ BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 #: adversary hot paths, plus (since PR 3) the keyword-search/storage
 #: query ops and the evaluation service -- which since PR 4 includes
 #: the pipelined-dispatch deep-search op
-#: (``test_service_pipelined_dispatch_deep_search``) and the sampled
-#: Gamma interval query (``approx``: only
-#: ``test_approx_interval_warm_kernel`` now; the deleted solver benches
-#: left in older baselines are skipped as baseline-only).  Markers are
+#: (``test_service_pipelined_dispatch_deep_search``).  Markers are
 #: chosen to match the query/service benchmarks but not the figure-layer
 #: ones (e.g. ``keyword_search`` matches E5 and the gallery search, not
 #: ``test_fig5_keyword_answer`` -- figures are not a guarded hot path).
@@ -55,8 +52,6 @@ GUARDED_MARKERS = (
     "keyword_search",
     "storage",
     "service",
-    "approx",
-    "strata",
 )
 
 

@@ -118,8 +118,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"note: {experiment_id} does not take --endpoints; ignoring",
                 file=sys.stderr,
             )
-    for option in ("probe_interval", "rebalance", "coalesce", "seed",
-                   "tls_ca", "auth_token"):
+    for option in ("probe_interval", "rebalance", "coalesce", "tls_ca",
+                   "auth_token"):
         value = getattr(args, option, None)
         if value is None:
             continue
@@ -319,17 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
             "health-prober cadence in seconds for elastic federation "
             "experiments (E11); lost endpoints are pinged and re-admitted "
             "on recovery"
-        ),
-    )
-    experiment.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=(
-            "sampling seed for experiments with randomized estimators "
-            "(E12's interval-coverage phase); the same seed reproduces "
-            "every sampled interval byte-for-byte, defaults are fixed per "
-            "experiment so plain runs are already deterministic"
         ),
     )
     experiment.add_argument(

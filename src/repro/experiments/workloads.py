@@ -210,7 +210,7 @@ def scaled_structure(
 ) -> RelationStructure:
     """A canonical relation structure of arbitrary row count.
 
-    The approximate-Gamma experiment (E12) needs relations far past what
+    The exact-Gamma-at-scale experiment (E12) needs relations far past what
     a :class:`ModuleRelation` row mapping can hold (>= 10^6 rows), so
     this builds the canonical *column* form directly: each column is an
     independent uniform draw over its domain positions, seeded per

@@ -5,13 +5,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "approx": (
-            "ApproxGammaEstimator",
-            "GammaInterval",
-            "KernelRelation",
-            "SampleSpec",
-            "kernel_sample_interval",
-        ),
         "data_privacy": (
             "REDACTED",
             "DataPrivacyPolicy",
@@ -50,7 +43,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "solve_safe_subset",
         ),
         "policy": ("PrivacyPolicy", "StructuralTarget"),
-        "relations": ("Attribute", "ModuleRelation"),
+        "relations": ("Attribute", "KernelRelation", "ModuleRelation"),
         "structural_privacy": (
             "STRATEGIES",
             "StructuralPrivacyResult",

@@ -21,9 +21,8 @@ integers.  :func:`freeze` converts any cache payload to the portable
 pure-tuple form used by snapshots, eviction spills and the wire, and
 :func:`thaw_entry` converts it back to arrays.  The payload helpers
 also accept tuples: counts too large for ``int64`` stay python ints,
-strata offsets are tuples, and the test suite's tuple/dict reference
-table plugs into a kernel through
-:meth:`~repro.privacy.kernel_registry.SharedGammaKernel.install_table`.
+and the test suite's tuple/dict reference table plugs into a kernel
+through :meth:`~repro.privacy.kernel_registry.SharedGammaKernel.install_table`.
 A kernel builds its table with :func:`build_table`, as a view over its
 structure's own matrices; a worker process gets that structure by value.
 """
@@ -94,9 +93,8 @@ def thaw_entry(key: tuple, payload: object) -> object:
 
     ``key`` carries the payload shape: ``("partition", ...)`` payloads
     are one flat int sequence; ``("kernel", ...)`` payloads are a
-    ``(partition, counts, gamma)`` triple; ``("strata", ...)`` payloads
-    an ``(order, offsets)`` pair.  Other payloads are plain int tuples
-    already.
+    ``(partition, counts, gamma)`` triple.  Other payloads are plain int
+    tuples already.
     """
     if key and key[0] == "partition":
         return np.asarray(payload, dtype=np.int64)
@@ -107,9 +105,6 @@ def thaw_entry(key: tuple, payload: object) -> object:
             np.asarray(counts, dtype=np.int64) if _counts_fit(counts) else counts,
             gamma,
         )
-    if key and key[0] == "strata":
-        order, offsets = payload  # type: ignore[misc]
-        return (np.asarray(order, dtype=np.int64), tuple(offsets))
     return payload
 
 
@@ -332,162 +327,6 @@ class NumpyTable:
         _, first = np.unique(code, return_index=True)
         owners = partition[first]
         return np.bincount(owners, minlength=blocks).astype(np.int64, copy=False)
-
-    def reference_strata(self, partition):
-        """Row ids grouped by block: ``(order, offsets)``.
-
-        The stable argsort keeps rows ascending within each block, and
-        first-occurrence block ids make ascending-id order equal
-        first-occurrence order.  The sort-based construction, retained as
-        the oracle the incremental :meth:`refine_strata` chain is
-        verified against.
-        """
-        order = np.argsort(partition, kind="stable").astype(np.int64, copy=False)
-        blocks = int(partition.max()) + 1 if partition.size else 0
-        counts = np.bincount(partition, minlength=blocks)
-        offsets = (0, *np.cumsum(counts).tolist())
-        return order, offsets
-
-    def initial_strata(self):
-        """Strata of the empty-visibility partition (one block, row order)."""
-        if self.row_count == 0:
-            return np.empty(0, dtype=np.int64), (0,)
-        return np.arange(self.row_count, dtype=np.int64), (0, self.row_count)
-
-    def refine_strata(self, base_order, refined, input_index: int):
-        """Strata of ``refined`` derived from the base partition's order.
-
-        The incremental strata pass: ``base_order`` already groups rows
-        by the base partition (ascending within each block), and every
-        refined block is exactly the subset of one base block sharing one
-        value of column ``input_index``.  A stable bucket sort of the
-        replayed column values (narrowed to the smallest unsigned dtype
-        the domain fits, so the stable radix path kicks in) therefore
-        makes every refined block one *globally contiguous run*: within a
-        value group the stable sort preserves base order, and a block's
-        rows all share one (base block, value) pair.  Run boundaries plus
-        plain arithmetic then land every row at its final offset -- one
-        O(rows) pass over a narrow key replaces the global
-        O(rows log rows) argsort of the wide block-id column; values are
-        identical to ``reference_strata(refined)``.
-        """
-        rows = refined.size
-        blocks = int(refined.max()) + 1 if rows else 0
-        counts = np.bincount(refined, minlength=blocks)
-        cumulative = np.cumsum(counts)
-        offsets = (0, *cumulative.tolist())
-        if rows == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        starts = cumulative - counts
-        values_in_order = self.input_matrix[input_index][base_order]
-        domain = self.input_domain_sizes[input_index]
-        if domain <= 1 << 8:
-            values_in_order = values_in_order.astype(np.uint8)
-        elif domain <= 1 << 16:
-            values_in_order = values_in_order.astype(np.uint16)
-        by_value = np.argsort(values_in_order, kind="stable")
-        positions = base_order[by_value]
-        keys = refined[positions]
-        boundary = np.empty(rows, dtype=bool)
-        boundary[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-        run_first = np.flatnonzero(boundary)
-        run_lengths = np.diff(np.append(run_first, rows))
-        # Each run IS one refined block: shift its rows so the run's
-        # first element lands on the block's start slot.
-        shift = run_first - starts[keys[run_first]]
-        destinations = np.arange(rows, dtype=np.int64) - np.repeat(
-            shift, run_lengths
-        )
-        order = np.empty(rows, dtype=np.int64)
-        order[destinations] = positions
-        return order, offsets
-
-    def block_sizes(self, partition) -> list[int]:
-        """Rows per block of a first-occurrence-numbered partition."""
-        blocks = int(partition.max()) + 1 if partition.size else 0
-        return np.bincount(partition, minlength=blocks).tolist()
-
-    def block_rows(self, partition, blocks) -> dict:
-        """Row ids of just the listed blocks, ascending within each.
-
-        The *sampled strata construction*: a dense membership gather
-        pulls only the blocks a sampling wave touches out of the
-        partition, instead of building full strata for every block.
-        """
-        if not blocks:
-            return {}
-        total = int(partition.max()) + 1 if partition.size else 0
-        wanted = np.zeros(total, dtype=np.bool_)
-        wanted[list(blocks)] = True
-        selected = np.flatnonzero(wanted[partition])
-        owners = partition[selected]
-        gathered: dict[int, object] = {}
-        for block in blocks:
-            gathered[block] = selected[owners == block]
-        return gathered
-
-    def largest_blocks(self, sizes, limit: int) -> list[int]:
-        """The ``limit`` largest block ids, ties broken by ascending id.
-
-        ``np.lexsort`` with ``(-size, id)`` keys ranks exactly like
-        ``sorted(range(n), key=lambda b: (-sizes[b], b))``.
-        """
-        sizes = np.asarray(sizes, dtype=np.int64)
-        ranked = np.lexsort((np.arange(sizes.size), -sizes))
-        return ranked[:limit].tolist()
-
-    def concat_rows(self, chunks):
-        """Row-id chunks flattened into one sampling batch."""
-        chunks = [np.asarray(chunk, dtype=np.int64) for chunk in chunks]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-    def sample_distincts(self, partition, rows, visible_outputs: tuple[int, ...]):
-        """Per touched block: ``(distinct, singletons)`` over sampled rows.
-
-        Vectorized gather: the sampled rows' visible-output columns are
-        folded into a dense group code seeded by the owning block id
-        through the sort-free re-compression of
-        :meth:`_fold_output_codes`, then tallied once per distinct
-        ``(block, projection)`` code -- one counting pass per wave
-        instead of two ``np.unique`` sorts.
-        """
-        index = np.asarray(rows, dtype=np.int64)
-        if index.size == 0:
-            return {}
-        blocks_of = partition[index]
-        code, ncodes = self._fold_output_codes(
-            blocks_of, int(blocks_of.max()) + 1, visible_outputs, index
-        )
-        tallies = np.bincount(code, minlength=ncodes)
-        representative = np.empty(ncodes, dtype=np.int64)
-        representative[code] = np.arange(index.size, dtype=np.int64)
-        # With no output columns the seed code is the raw block id, so
-        # codes absent from the sample leave gaps; tally > 0 masks them.
-        present = np.flatnonzero(tallies)
-        owners = blocks_of[representative[present]].tolist()
-        singles = (tallies[present] == 1).tolist()
-        stats: dict[int, tuple[int, int]] = {}
-        for block, single in zip(owners, singles):
-            distinct, singletons = stats.get(block, (0, 0))
-            stats[block] = (distinct + 1, singletons + (1 if single else 0))
-        return stats
-
-    def exhaust_distincts(self, partition, order, offsets, blocks, visible_outputs):
-        """Exact per-block ``(distinct, singletons)`` of whole strata.
-
-        The listed blocks' slices are concatenated and folded in a single
-        vectorized pass -- exhausting straddling blocks costs one
-        gather, not a python loop per row.
-        """
-        if not blocks:
-            return {}
-        index = np.concatenate(
-            [order[offsets[block] : offsets[block + 1]] for block in blocks]
-        )
-        return self.sample_distincts(partition, index, visible_outputs)
 
 
 def build_table(structure: "RelationStructure") -> NumpyTable:

@@ -60,18 +60,15 @@ EvictionSink = Callable[["RelationStructure", tuple, object, int], None]
 #: (floats) rather than deterministic work counters (ints).  Equality
 #: tests across tables/processes must strip these; the stats mergers
 #: must *not* truncate them to ints.
-TIMING_STAT_KEYS = ("partition_build_ms", "strata_build_ms")
+TIMING_STAT_KEYS = ("partition_build_ms",)
 
 #: Deterministic per-kernel work counters, in ``counters`` order.
 COUNTER_KEYS = (
     "partition_hits",
     "partition_refinements",
-    "strata_refinements",
     "grouping_passes",
     "entry_fused_passes",
     "kernel_hits",
-    "sample_passes",
-    "sample_hits",
     "evictions",
     "preloaded",
 )
@@ -519,103 +516,14 @@ class SharedGammaKernel:
         return entry
 
     def strata(self, visible_inputs: tuple[int, ...]):
-        """``(order, offsets)`` grouping every row id by partition block.
+        """Removed: the stratified row grouping served only the sampled
+        Gamma interval, which is gone.
 
-        The stratified sampler's companion to :meth:`partition`: rows of
-        block ``b`` are ``order[offsets[b]:offsets[b + 1]]``, ascending
-        within each block.  Built *incrementally*, mirroring the
-        partition-refinement chain: ``strata(prefix+col)``
-        replays the cached ``strata(prefix)`` order through one bucket
-        pass per appended column instead of a fresh global argsort, and
-        every prefix's strata lands under its own ``("strata", VI)`` LRU
-        key -- the per-structure canonical-order cache the sampler and
-        ``exhaust_distincts`` share.  The accounted cost charges the true
-        payload (``order`` plus ``offsets`` words), so sampled
-        evaluations share cache accounting -- and eviction pressure --
-        with exact ones.
+        The name stays because ``perfbench/spans.py`` wraps this method
+        when it traces a run; nothing calls it.  Delete it together with
+        that wrapper.
         """
-        key = ("strata", visible_inputs)
-        cached = self._cache_get(key)
-        if cached is not None:
-            self._count("partition_hits")
-            return cached
-        if not visible_inputs:
-            strata = self.table.initial_strata()
-        else:
-            base_order, _ = self.strata(visible_inputs[:-1])
-            refined = self.partition(visible_inputs)
-            started = time.perf_counter()
-            strata = self.table.refine_strata(
-                base_order, refined, visible_inputs[-1]
-            )
-            self._time("strata_build_ms", started)
-            self._count("strata_refinements")
-        cost = columnar.payload_bytes(strata[0]) + columnar.payload_bytes(strata[1])
-        self._cache_put(key, strata, cost)
-        return strata
-
-    def sampled_strata(self, visible_inputs: tuple[int, ...], max_active: int):
-        """``(active, order, offsets)`` partial strata of the largest blocks.
-
-        *Sampled strata construction*: when a partition holds more
-        blocks than a sampling budget can touch, the full
-        ``("strata", VI)`` order would spend a full-relation pass and
-        ``rows`` cache words on blocks no wave will ever read.  This
-        gathers just the ``max_active`` largest blocks (deterministic
-        size-then-id ranking) in one linear pass over the partition and
-        caches the partial order under its own key, so every later
-        estimate on the same visibility prefix -- any seed, any
-        confidence, same budget class -- reuses the gathered rows as
-        plain slices.  ``active`` is ascending; rows of ``active[i]``
-        are ``order[offsets[i]:offsets[i + 1]]``, ascending within each
-        block.
-        """
-        key = ("sampled_strata", visible_inputs, max_active)
-        cached = self._cache_get(key)
-        if cached is not None:
-            self._count("partition_hits")
-            return cached
-        partition = self.partition(visible_inputs)
-        started = time.perf_counter()
-        sizes = self.table.block_sizes(partition)
-        active = self.table.largest_blocks(sizes, max_active)
-        active.sort()
-        chunk_map = self.table.block_rows(partition, active)
-        chunks = [chunk_map[block] for block in active]
-        order = self.table.concat_rows(chunks)
-        offsets = [0]
-        for chunk in chunks:
-            offsets.append(offsets[-1] + len(chunk))
-        payload = (tuple(active), order, tuple(offsets))
-        self._time("strata_build_ms", started)
-        self._count("strata_refinements")
-        cost = (
-            columnar.payload_bytes(payload[0])
-            + columnar.payload_bytes(payload[1])
-            + columnar.payload_bytes(payload[2])
-        )
-        self._cache_put(key, payload, cost)
-        return payload
-
-    def sample_entry(self, subkey: tuple, compute: Callable[[], tuple]):
-        """Memoized sampling-estimator result for ``("sample",) + subkey``.
-
-        The approx subsystem stores its finished interval payloads (plain
-        int tuples) here so repeated estimates -- e.g. the same node
-        re-expanded across frontier levels, or a re-submitted service
-        task -- are cache hits with the
-        same LRU/byte accounting as exact entries.  ``compute`` runs on a
-        miss and returns ``(payload, cost_bytes)``.
-        """
-        key = ("sample",) + subkey
-        cached = self._cache_get(key)
-        if cached is not None:
-            self._count("sample_hits")
-            return cached
-        payload, cost = compute()
-        self._count("sample_passes")
-        self._cache_put(key, payload, cost)
-        return payload
+        raise PrivacyError("SharedGammaKernel.strata was removed; use partition")
 
     # ------------------------------------------------------------------ #
     # Instrumentation
@@ -629,11 +537,10 @@ class SharedGammaKernel:
     def timers(self) -> dict[str, float]:
         """Accumulated group-construction wall time in milliseconds.
 
-        ``partition_build_ms`` covers refinement passes,
-        ``strata_build_ms`` the incremental strata bucket passes --
-        the attribution E9 uses to split group construction from
-        counting.  Unlike :attr:`counters` these are nondeterministic
-        floats (see :data:`TIMING_STAT_KEYS`).
+        ``partition_build_ms`` covers refinement passes -- the
+        attribution E9 uses to split group construction from counting.
+        Unlike :attr:`counters` these are nondeterministic floats (see
+        :data:`TIMING_STAT_KEYS`).
         """
         return dict(self._timers)
 
@@ -879,7 +786,6 @@ class GammaKernelRegistry:
             "preloaded": totals.counters["preloaded"],
             "entry_fused_passes": totals.counters["entry_fused_passes"],
             "partition_build_ms": totals.timers["partition_build_ms"],
-            "strata_build_ms": totals.timers["strata_build_ms"],
         }
 
     def __len__(self) -> int:

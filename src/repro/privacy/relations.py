@@ -62,6 +62,10 @@ attaches it to the registry's shared kernel for its structure instead:
   transparently recomputed on the next request, so eviction affects the
   ``evictions`` / ``grouping_passes`` counters but never the values of
   ``achieved_gamma`` / ``candidate_outputs``.
+
+:class:`KernelRelation` offers the solver-facing surface of a relation
+over a bare :class:`~repro.privacy.kernel_registry.RelationStructure`,
+for tables too large to hold as a row mapping (E12's scaled relations).
 """
 
 from __future__ import annotations
@@ -713,4 +717,118 @@ class ModuleRelation:
             f"ModuleRelation(module={self.module_id!r}, "
             f"inputs={len(self.inputs)}, outputs={len(self.outputs)}, "
             f"rows={len(self._rows)})"
+        )
+
+
+class KernelRelation:
+    """A relation-shaped adapter over a canonical structure.
+
+    Scaled workloads (E12's million-row relations) never materialize a
+    row *mapping* -- only the canonical column table exists.  This class
+    exposes exactly the surface the exact solver and the frontier sweep use
+    (``attributes`` / ``attribute_names`` / ``visibility_of`` /
+    ``achieved_gamma`` / ``hiding_cost`` / ``max_gamma`` / ``kernel`` /
+    ``structure_signature``) on top of a shared Gamma kernel, with
+    positional attribute names ``i0..``/``o0..`` and unit weights unless
+    overridden.
+    """
+
+    def __init__(
+        self,
+        module_id: str,
+        structure: RelationStructure,
+        *,
+        registry: GammaKernelRegistry | None = None,
+        weights: Mapping[str, float] | None = None,
+    ) -> None:
+        self.module_id = module_id
+        self._kernel = (
+            registry.ensure_kernel(structure)
+            if registry is not None
+            else SharedGammaKernel(structure)
+        )
+        weights = dict(weights or {})
+        self.inputs = tuple(
+            Attribute(
+                f"i{position}",
+                tuple(range(size)),
+                "input",
+                weights.get(f"i{position}", 1.0),
+            )
+            for position, size in enumerate(structure.input_domain_sizes)
+        )
+        self.outputs = tuple(
+            Attribute(
+                f"o{position}",
+                tuple(range(size)),
+                "output",
+                weights.get(f"o{position}", 1.0),
+            )
+            for position, size in enumerate(structure.output_domain_sizes)
+        )
+
+    @property
+    def attributes(self) -> tuple[Attribute, ...]:
+        """All attributes, inputs first (the solver cost surface)."""
+        return self.inputs + self.outputs
+
+    def attribute_names(self) -> tuple[str, ...]:
+        """Names of all attributes, inputs first."""
+        return tuple(attribute.name for attribute in self.attributes)
+
+    @property
+    def kernel(self) -> SharedGammaKernel:
+        """The shared Gamma kernel backing this adapter."""
+        return self._kernel
+
+    @property
+    def structure_signature(self) -> RelationStructure:
+        """The canonical structure (service requests ship this)."""
+        return self._kernel.structure
+
+    def visibility_of(
+        self, hidden: Iterable[str]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(visible-input, visible-output) index pair for ``hidden``."""
+        hidden_set = set(hidden)
+        unknown = hidden_set - set(self.attribute_names())
+        if unknown:
+            raise PrivacyError(
+                f"unknown attributes for module {self.module_id!r}: "
+                f"{sorted(unknown)!r}"
+            )
+        visible_inputs = tuple(
+            index
+            for index, attribute in enumerate(self.inputs)
+            if attribute.name not in hidden_set
+        )
+        visible_outputs = tuple(
+            index
+            for index, attribute in enumerate(self.outputs)
+            if attribute.name not in hidden_set
+        )
+        return visible_inputs, visible_outputs
+
+    def achieved_gamma(self, hidden: Iterable[str]) -> int:
+        """Exact Gamma when hiding ``hidden`` (the oracle path)."""
+        _, _, gamma = self._kernel.entry(*self.visibility_of(hidden))
+        return gamma
+
+    def hiding_cost(self, hidden: Iterable[str]) -> float:
+        """Total weight of the hidden attributes."""
+        hidden_set = set(hidden)
+        return sum(
+            attribute.weight
+            for attribute in self.attributes
+            if attribute.name in hidden_set
+        )
+
+    def max_gamma(self) -> int:
+        """The best achievable Gamma (hide everything)."""
+        return self.achieved_gamma(self.attribute_names())
+
+    def __repr__(self) -> str:
+        return (
+            f"KernelRelation(module={self.module_id!r}, "
+            f"rows={self._kernel.structure.row_count})"
         )

@@ -13,8 +13,7 @@ required privacy levels force hiding more (or heavier) attributes.
 :func:`gamma_cost_frontier` sweeps Gamma and reports the hiding cost at
 each level; because every solver call shares the relation's memoized Gamma
 kernel, the whole sweep re-derives no partition twice.  Every point is
-solved on exact Gamma: the sampled interval query of
-:mod:`repro.privacy.approx` answers single questions, not frontiers.
+solved on exact Gamma.
 """
 
 from __future__ import annotations

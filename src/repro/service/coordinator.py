@@ -49,9 +49,8 @@ column matrices.  The coordinator keeps no structure store: each
 in-flight batch carries its tasks' structures and sends only those its
 shard lacks, so a batch sent again after a crash re-ships from itself.
 
-The coordinator serves exact Gamma only (``want`` is ``"gamma"`` or
-``"entry"``); sampled Gamma intervals are a local query of
-:mod:`repro.privacy.approx` and have no service path.
+The coordinator serves exact Gamma: ``want`` is ``"gamma"`` or
+``"entry"``.
 
 Fault handling: a batch is re-dispatched when its shard is found dead
 (respawned workers and reconnected servers start warm from snapshots);
@@ -784,10 +783,10 @@ class ShardCoordinator:
             **self.latency_percentiles(),
         }
         # Group-construction attribution (sort-free kernel satellite):
-        # how much shard wall time went into partition/strata building vs
-        # fused counting passes, so E9 can split the two.
+        # how much shard wall time went into partition building vs fused
+        # counting passes, so E9 can split the two.
         kernel = self.kernel_stats()
-        for key in ("entry_fused_passes", "partition_build_ms", "strata_build_ms"):
+        for key in ("entry_fused_passes", "partition_build_ms"):
             if key in kernel:
                 stats[key] = kernel[key]
         with self._membership_lock:

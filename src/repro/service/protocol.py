@@ -20,13 +20,12 @@ or values.
   client keep several requests in flight and match out-of-order
   completions;
 * :class:`TaskResult` carries the exact Gamma (and, when
-  ``want="entry"``, the full kernel-entry payload) back -- sampled
-  Gamma intervals (:mod:`repro.privacy.approx`) are a local query and
-  never cross the wire; :class:`ShardReport` carries the
-  shard's merged ``kernel_stats`` and warm-start gauges, is flagged
-  ``retried`` by the coordinator when the batch had to be re-dispatched
-  after a worker crash, and (coordinator-side) records the
-  dispatch-to-result latency of its batch.
+  ``want="entry"``, the full kernel-entry payload) back;
+  :class:`ShardReport` carries the shard's merged ``kernel_stats`` and
+  warm-start gauges, is flagged ``retried`` by the coordinator when the
+  batch had to be re-dispatched after a worker crash, and
+  (coordinator-side) records the dispatch-to-result latency of its
+  batch.
 
 Everything here is a plain dataclass over ints, strings and tuples, so
 batches pickle cheaply under either multiprocessing start method.

@@ -67,114 +67,3 @@ class PureTable:
                 seen.add(pair)
                 distinct[block] += 1
         return distinct
-
-    @staticmethod
-    def _grouped(rows: Sequence[int], block_of: Sequence[int]):
-        """``(order, offsets)`` of ``rows`` bucketed by block, order kept."""
-        groups: list[list[int]] = []
-        for row in rows:
-            block = block_of[row]
-            while block >= len(groups):
-                groups.append([])
-            groups[block].append(row)
-        order = tuple(row for group in groups for row in group)
-        offsets = [0]
-        for group in groups:
-            offsets.append(offsets[-1] + len(group))
-        return order, tuple(offsets)
-
-    def strata(
-        self, partition: Sequence[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Row ids grouped by block: ``(order, offsets)``.
-
-        ``order`` lists every row id, rows of block 0 first, rows
-        ascending within a block; ``offsets[b]:offsets[b+1]`` delimits
-        block ``b``.
-        """
-        return self._grouped(range(len(partition)), partition)
-
-    def initial_strata(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Strata of the empty-visibility partition (one block, row order)."""
-        if self.row_count == 0:
-            return (), (0,)
-        return tuple(range(self.row_count)), (0, self.row_count)
-
-    def refine_strata(
-        self,
-        base_order: Sequence[int],
-        refined: Sequence[int],
-        input_index: int,
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Strata of ``refined``, replaying rows in the base strata order.
-
-        Every refined block lies inside one base block, so the replay
-        keeps rows ascending within each refined block -- the same
-        values as ``strata(refined)``.
-        """
-        return self._grouped(base_order, refined)
-
-    def block_sizes(self, partition: Sequence[int]) -> list[int]:
-        """Rows per block of a first-occurrence-numbered partition."""
-        sizes = [0] * (max(partition) + 1 if partition else 0)
-        for block in partition:
-            sizes[block] += 1
-        return sizes
-
-    def block_rows(
-        self, partition: Sequence[int], blocks: Sequence[int]
-    ) -> dict[int, tuple[int, ...]]:
-        """Row ids of just the listed blocks, ascending within each."""
-        gathered: dict[int, list[int]] = {block: [] for block in blocks}
-        for row, block in enumerate(partition):
-            if block in gathered:
-                gathered[block].append(row)
-        return {block: tuple(rows) for block, rows in gathered.items()}
-
-    def largest_blocks(self, sizes: Sequence[int], limit: int) -> list[int]:
-        """The ``limit`` largest block ids, ties broken by ascending id."""
-        ranked = sorted(range(len(sizes)), key=lambda b: (-sizes[b], b))
-        return ranked[:limit]
-
-    def concat_rows(self, chunks: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        """Row-id chunks flattened into one sampling batch."""
-        return tuple(row for chunk in chunks for row in chunk)
-
-    def sample_distincts(
-        self,
-        partition: Sequence[int],
-        rows: Sequence[int],
-        visible_outputs: tuple[int, ...],
-    ) -> dict[int, tuple[int, int]]:
-        """Per touched block: ``(distinct, singletons)`` over sampled rows.
-
-        ``distinct`` is the number of distinct visible-output projections
-        among the block's sampled rows; ``singletons`` the number of
-        those seen exactly once.
-        """
-        columns = [self.output_columns[index] for index in visible_outputs]
-        tallies: dict[tuple[int, tuple[int, ...]], int] = {}
-        for row in rows:
-            pair = (partition[row], tuple(column[row] for column in columns))
-            tallies[pair] = tallies.get(pair, 0) + 1
-        stats: dict[int, tuple[int, int]] = {}
-        for (block, _projection), count in tallies.items():
-            distinct, singletons = stats.get(block, (0, 0))
-            stats[block] = (distinct + 1, singletons + (1 if count == 1 else 0))
-        return stats
-
-    def exhaust_distincts(
-        self,
-        partition: Sequence[int],
-        order: Sequence[int],
-        offsets: Sequence[int],
-        blocks: Sequence[int],
-        visible_outputs: tuple[int, ...],
-    ) -> dict[int, tuple[int, int]]:
-        """Exact per-block ``(distinct, singletons)`` of whole strata."""
-        rows = [
-            row
-            for block in blocks
-            for row in order[offsets[block] : offsets[block + 1]]
-        ]
-        return self.sample_distincts(partition, rows, visible_outputs)

@@ -313,7 +313,6 @@ def _rescanned_stats(registry):
         "preloaded": sum(k.counters["preloaded"] for k in kernels),
         "entry_fused_passes": sum(k.counters["entry_fused_passes"] for k in kernels),
         "partition_build_ms": sum(k.timers["partition_build_ms"] for k in kernels),
-        "strata_build_ms": sum(k.timers["strata_build_ms"] for k in kernels),
     }
     return stats, aggregate
 
@@ -385,18 +384,10 @@ def test_running_totals_equal_a_fresh_rescan(seed):
         elif operation == "evaluate":
             kernel = rng.choice([r.kernel for r in live] + orphans[-3:])
             visible_inputs = _random_visibility(rng, 2)
-            call = rng.randrange(4)
-            if call == 0:
+            if rng.randrange(2):
                 kernel.entry(visible_inputs, _random_visibility(rng, 2))
-            elif call == 1:
-                kernel.strata(visible_inputs)
-            elif call == 2:
-                kernel.sampled_strata(visible_inputs, rng.randint(1, 3))
             else:
-                token = rng.randrange(6)
-                kernel.sample_entry(
-                    ("probe", token), lambda: ((token, 1, 2), 3 * WORD_BYTES)
-                )
+                kernel.partition(visible_inputs)
         elif operation == "import":
             source = rng.choice(live).kernel
             target = rng.choice(registries).ensure_kernel(source.structure)
@@ -426,7 +417,7 @@ def test_registry_stats_never_visit_a_kernel(monkeypatch):
             RelationStructure((index + 2,), (2,), ((0, 1, 0),), ((0, 1, 1),))
         )
         kernel.entry((0,), ())
-        kernel.strata((0,))
+        kernel.partition(())
     expected = _rescanned_stats(registry)
 
     def untouchable(self):
@@ -460,7 +451,7 @@ def test_default_registry_is_freed_without_the_cycle_collector():
             RelationStructure((3,), (2,), ((0, 1, 2),), ((1, 0, 1),))
         )
         kernel.entry((0,), ())
-        kernel.sampled_strata((), 1)
+        kernel.partition(())
         alive = weakref.ref(registry)
         del registry, relation, kernel
         assert alive() is None

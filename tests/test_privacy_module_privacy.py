@@ -115,6 +115,10 @@ class TestDispatcher:
         with pytest.raises(PrivacyError):
             solve_safe_subset(xor_relation, 2, solver="quantum")
 
+    def test_approx_is_not_a_solver(self, xor_relation):
+        with pytest.raises(PrivacyError, match="unknown solver"):
+            solve_safe_subset(xor_relation, 2, solver="approx")
+
     def test_summary_shape(self, xor_relation):
         result = solve_safe_subset(xor_relation, 2, solver="greedy")
         summary = result.summary()

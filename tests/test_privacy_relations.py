@@ -1,4 +1,9 @@
-"""Tests for module relations and the Gamma-privacy semantics."""
+"""Tests for module relations and the Gamma-privacy semantics.
+
+Covers :class:`ModuleRelation`, the exact Gamma-cost frontier over one,
+and :class:`KernelRelation`, the relation-shaped adapter E12 sweeps at
+scale.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,10 @@ import pytest
 
 from repro.errors import PrivacyError
 from repro.execution.behaviors import TableBehavior
-from repro.privacy.relations import Attribute, ModuleRelation
+from repro.experiments.workloads import scaled_structure
+from repro.privacy.module_privacy import exact_safe_subset
+from repro.privacy.relations import Attribute, KernelRelation, ModuleRelation
+from repro.privacy.tradeoff import gamma_cost_frontier
 
 
 class TestAttribute:
@@ -130,3 +138,54 @@ class TestGammaSemantics:
             weighted_relation.attribute("zzz")
         assert weighted_relation.attribute_names() == ("x", "y", "u", "v")
         assert "ModuleRelation" in repr(weighted_relation)
+
+
+def scaled_relation(
+    *, rows: int = 360, seed: int = 3, noise: float = 0.1
+) -> KernelRelation:
+    structure = scaled_structure(
+        rows=rows,
+        n_inputs=2,
+        n_outputs=2,
+        domain_size=4,
+        seed=seed,
+        noise=noise,
+    )
+    return KernelRelation(f"S{seed}", structure)
+
+
+def test_frontier_points_are_exact():
+    relation = ModuleRelation.random(
+        "M", n_inputs=2, n_outputs=2, domain_size=3, seed=5
+    )
+    points = gamma_cost_frontier(relation, gammas=(2, 3))
+    assert [point.gamma for point in points] == [2, 3]
+    for point in points:
+        assert not hasattr(point, "ci_half_width")
+        assert not hasattr(point, "confidence")
+        exact = exact_safe_subset(relation, point.gamma)
+        assert (point.cost, point.hidden) == (exact.cost, exact.hidden)
+        assert point.achieved_gamma == relation.achieved_gamma(point.hidden)
+        assert point.achieved_gamma >= point.gamma
+
+
+class TestKernelRelationAdapter:
+    def test_adapter_surface(self):
+        relation = scaled_relation(rows=100, seed=2)
+        assert relation.attribute_names() == ("i0", "i1", "o0", "o1")
+        vi, vo = relation.visibility_of(("i1", "o0"))
+        assert vi == (0,) and vo == (1,)
+        assert relation.hiding_cost(("i1", "o0")) == 2.0
+        assert relation.max_gamma() >= relation.achieved_gamma(("i0",))
+        assert "rows=100" in repr(relation)
+
+    def test_unknown_attribute_rejected(self):
+        with pytest.raises(PrivacyError):
+            scaled_relation(rows=40).visibility_of(("nope",))
+
+    def test_weights_override_costs(self):
+        structure = scaled_structure(
+            rows=60, n_inputs=2, n_outputs=1, domain_size=3, seed=1
+        )
+        relation = KernelRelation("W", structure, weights={"i0": 5.0})
+        assert relation.hiding_cost(("i0", "o0")) == 6.0

@@ -1,8 +1,8 @@
 """Sort-free kernel hot path versus the sort-based and tuple/dict oracles.
 
-* **sort-based references** -- the counting-sort refinement, fused entry
-  counting and incremental strata agree with the table's own
-  ``reference_*`` ``np.unique``/``argsort`` passes on random relations
+* **sort-based references** -- the counting-sort refinement and fused
+  entry counting agree with the table's own ``reference_*``
+  ``np.unique``/``argsort`` passes on random relations
   (Hypothesis) and on the degenerate single-block, all-distinct and
   wide-domain relations where the dense-key-space guard flips to the
   sort fallback;
@@ -10,8 +10,9 @@
   ``NumpyTable`` primitive has an equivalence property against it, and
   a kernel running on it through ``install_table`` produces the same
   payloads, costs, eviction sequences and counters;
-* **round-trips** -- strata payloads freeze/thaw and preload without
-  recomputation, and float ``*_ms`` timers survive the stats merge;
+* **round-trips** -- partition and kernel-entry payloads freeze/thaw
+  and preload without recomputation, and float ``*_ms`` timers survive
+  the stats merge;
 * **each entry case** -- the occupancy table on ``large_cold_inproc``'s
   10 000-row shape, one row per block, the fold fallback past the
   table's bound (a spy on ``_fold_output_codes`` shows which ran), no
@@ -148,8 +149,8 @@ def _visibility_chains(structure):
 
 
 def _check_against_reference(structure):
-    """Kernel partitions, strata and entry counts equal the table's
-    sort-based ``reference_*`` passes on every visibility chain."""
+    """Kernel partitions and entry counts equal the table's sort-based
+    ``reference_*`` passes on every visibility chain."""
     kernel = GammaKernelRegistry().ensure_kernel(structure)
     table = kernel.table
     input_sets, output_sets = _visibility_chains(structure)
@@ -161,10 +162,6 @@ def _check_against_reference(structure):
         for index in visible_inputs:
             reference = table.reference_refine(reference, index)
         assert freeze(partition) == freeze(reference)
-        order, offsets = kernel.strata(visible_inputs)
-        ref_order, ref_offsets = table.reference_strata(reference)
-        assert freeze(order) == freeze(ref_order)
-        assert tuple(offsets) == tuple(ref_offsets)
         blocks = columnar.block_count(partition)
         for visible_outputs in output_sets:
             kernel.entry(visible_inputs, visible_outputs)
@@ -179,7 +176,7 @@ def _check_against_reference(structure):
 class TestCountingSortEquivalence:
     @RELAXED
     @given(structure=random_structures())
-    def test_partitions_strata_entries_match_reference(self, structure):
+    def test_partitions_entries_match_reference(self, structure):
         _check_against_reference(structure)
 
     @pytest.mark.parametrize("structure", degenerate_structures())
@@ -188,17 +185,13 @@ class TestCountingSortEquivalence:
 
 
 class _State(NamedTuple):
-    """One table's partition and incrementally built strata."""
+    """One table's partition."""
 
     table: object
     partition: object
-    order: object
-    offsets: tuple
 
     def refined(self, index: int) -> "_State":
-        partition = self.table.refine(self.partition, index)
-        strata = self.table.refine_strata(self.order, partition, index)
-        return _State(self.table, partition, *strata)
+        return _State(self.table, self.table.refine(self.partition, index))
 
 
 def _oracle_states(structure):
@@ -207,25 +200,13 @@ def _oracle_states(structure):
     input_sets, _ = _visibility_chains(structure)
     for visible_inputs in input_sets:
         numpy_state, pure_state = (
-            _State(table, table.initial_partition(), *table.initial_strata())
+            _State(table, table.initial_partition())
             for table in tables
         )
         for index in visible_inputs:
             numpy_state = numpy_state.refined(index)
             pure_state = pure_state.refined(index)
         yield numpy_state, pure_state
-
-
-def _some_blocks(data, partition) -> list[int]:
-    blocks = columnar.block_count(partition)
-    if not blocks:
-        return []
-    return data.draw(st.lists(st.integers(0, blocks - 1), unique=True))
-
-
-def _plain(stats: dict) -> dict:
-    """A table's per-block dict with numpy keys and arrays made plain."""
-    return {int(block): freeze(value) for block, value in stats.items()}
 
 
 class TestOracleEquivalence:
@@ -236,23 +217,6 @@ class TestOracleEquivalence:
     def test_refine(self, structure):
         for numpy_state, pure_state in _oracle_states(structure):
             assert freeze(numpy_state.partition) == pure_state.partition
-
-    @RELAXED
-    @given(structure=any_structures)
-    def test_strata(self, structure):
-        for numpy_state, pure_state in _oracle_states(structure):
-            order, offsets = numpy_state.table.reference_strata(
-                numpy_state.partition
-            )
-            expected = pure_state.table.strata(pure_state.partition)
-            assert (freeze(order), offsets) == expected
-
-    @RELAXED
-    @given(structure=any_structures)
-    def test_refine_strata(self, structure):
-        for numpy_state, pure_state in _oracle_states(structure):
-            assert freeze(numpy_state.order) == pure_state.order
-            assert tuple(numpy_state.offsets) == pure_state.offsets
 
     @RELAXED
     @given(structure=any_structures)
@@ -269,71 +233,6 @@ class TestOracleEquivalence:
                 )
                 assert freeze(got) == tuple(expected)
 
-    @RELAXED
-    @given(structure=any_structures)
-    def test_block_sizes(self, structure):
-        for numpy_state, pure_state in _oracle_states(structure):
-            assert numpy_state.table.block_sizes(
-                numpy_state.partition
-            ) == pure_state.table.block_sizes(pure_state.partition)
-
-    @RELAXED
-    @given(structure=any_structures, data=st.data())
-    def test_block_rows(self, structure, data):
-        for numpy_state, pure_state in _oracle_states(structure):
-            listed = _some_blocks(data, pure_state.partition)
-            gathered = numpy_state.table.block_rows(numpy_state.partition, listed)
-            expected = pure_state.table.block_rows(pure_state.partition, listed)
-            assert _plain(gathered) == expected
-            chunks = [gathered[block] for block in listed]
-            assert freeze(numpy_state.table.concat_rows(chunks)) == (
-                pure_state.table.concat_rows([expected[b] for b in listed])
-            )
-
-    @RELAXED
-    @given(structure=any_structures, data=st.data())
-    def test_largest_blocks(self, structure, data):
-        for numpy_state, pure_state in _oracle_states(structure):
-            sizes = pure_state.table.block_sizes(pure_state.partition)
-            limit = data.draw(st.integers(0, len(sizes) + 1))
-            assert numpy_state.table.largest_blocks(
-                sizes, limit
-            ) == pure_state.table.largest_blocks(sizes, limit)
-
-    @RELAXED
-    @given(structure=any_structures, data=st.data())
-    def test_sample_distincts(self, structure, data):
-        _, output_sets = _visibility_chains(structure)
-        rows = data.draw(
-            st.lists(st.integers(0, structure.row_count - 1))
-            if structure.row_count
-            else st.just([])
-        )
-        for numpy_state, pure_state in _oracle_states(structure):
-            for outputs in output_sets:
-                got = numpy_state.table.sample_distincts(
-                    numpy_state.partition, np.asarray(rows, dtype=np.int64), outputs
-                )
-                assert _plain(got) == pure_state.table.sample_distincts(
-                    pure_state.partition, rows, outputs
-                )
-
-    @RELAXED
-    @given(structure=any_structures, data=st.data())
-    def test_exhaust_distincts(self, structure, data):
-        _, output_sets = _visibility_chains(structure)
-        for numpy_state, pure_state in _oracle_states(structure):
-            listed = _some_blocks(data, pure_state.partition)
-            for outputs in output_sets:
-                got = numpy_state.table.exhaust_distincts(
-                    numpy_state.partition, numpy_state.order,
-                    numpy_state.offsets, listed, outputs,
-                )
-                assert _plain(got) == pure_state.table.exhaust_distincts(
-                    pure_state.partition, pure_state.order,
-                    pure_state.offsets, listed, outputs,
-                )
-
 
 class TestEvictionOrderEquivalence:
     @RELAXED
@@ -345,8 +244,8 @@ class TestEvictionOrderEquivalence:
         self, structure, budget
     ):
         """Same evicted-key sequence on the numpy and the oracle table
-        under tight budgets, with strata entries in the mix (their cost
-        is the true payload)."""
+        under tight budgets, with partition and kernel entries in the
+        mix."""
         sequences = {}
         for table in TABLES:
             evicted: list[tuple] = []
@@ -359,77 +258,78 @@ class TestEvictionOrderEquivalence:
             kernel = use_table(registry.ensure_kernel(structure), table)
             input_sets, output_sets = _visibility_chains(structure)
             for visible_inputs in input_sets:
-                kernel.strata(visible_inputs)
+                kernel.partition(visible_inputs)
                 for visible_outputs in output_sets:
                     kernel.entry(visible_inputs, visible_outputs)
             sequences[table] = evicted
         assert sequences["numpy"] == sequences["pure"]
 
     @pytest.mark.parametrize("table", TABLES)
-    def test_strata_cost_charges_true_payload(self, table):
+    def test_entry_costs_charge_true_payload(self, table):
         structure = degenerate_structures()[0]
         kernel = use_table(GammaKernelRegistry().ensure_kernel(structure), table)
         for visible_inputs in ((), (0,), (0, 1)):
-            order, offsets = kernel.strata(visible_inputs)
-            key = ("strata", visible_inputs)
-            _, cost = kernel._entries[key]
+            partition, counts, _ = kernel.entry(visible_inputs, (0,))
+            _, cost = kernel._entries[("partition", visible_inputs)]
+            assert cost == columnar.payload_bytes(partition)
+            _, cost = kernel._entries[("kernel", visible_inputs, (0,))]
             assert cost == columnar.payload_bytes(
-                order
-            ) + columnar.payload_bytes(offsets)
-            assert cost == (len(order) + len(offsets)) * columnar.WORD_BYTES
+                partition
+            ) + columnar.payload_bytes(counts)
+            assert cost == (len(partition) + len(counts)) * columnar.WORD_BYTES
 
 
 class TestPayloadRoundTrips:
     @RELAXED
     @given(structure=random_structures(max_rows=12))
-    def test_strata_payloads_freeze_thaw_across_backends(self, structure):
+    def test_entry_payloads_freeze_thaw_across_backends(self, structure):
         frozen_by_table = {}
         for table in TABLES:
             kernel = use_table(GammaKernelRegistry().ensure_kernel(structure), table)
             visible_inputs = tuple(range(len(structure.input_domain_sizes)))
-            kernel.strata(visible_inputs)
+            kernel.entry(visible_inputs, (0,))
             frozen_by_table[table] = {
                 key: (freeze(payload), cost)
                 for key, (payload, cost) in kernel._entries.items()
-                if key[0] == "strata"
             }
         reference = frozen_by_table["pure"]
-        assert reference  # the chain cached at least the root stratum
+        assert reference  # the chain cached at least the root partition
         assert frozen_by_table["numpy"] == reference
         # Thawing restores arrays with the same frozen image -- the
         # snapshot/wire round-trip contract.
         for key, (payload, _) in reference.items():
             thawed = thaw_entry(key, payload)
-            assert isinstance(thawed[0], np.ndarray)
+            partition = thawed if key[0] == "partition" else thawed[0]
+            assert isinstance(partition, np.ndarray)
             assert freeze(thawed) == payload
 
-    def test_preloaded_strata_answer_without_recomputation(self):
+    def test_preloaded_entries_answer_without_recomputation(self):
         structure = degenerate_structures()[0]
         kernel = GammaKernelRegistry().ensure_kernel(structure)
         visible_inputs = (0, 1)
-        expected = tuple(freeze(item) for item in kernel.strata(visible_inputs))
+        expected = freeze(kernel.entry(visible_inputs, (0,)))
         exported = kernel.export_entries()
         warm = GammaKernelRegistry().ensure_kernel(structure)
         warm.import_entries(exported)
         before = warm.counters
-        got = tuple(freeze(item) for item in warm.strata(visible_inputs))
+        got = freeze(warm.entry(visible_inputs, (0,)))
         after = warm.counters
         assert got == expected
-        assert after["strata_refinements"] == before["strata_refinements"]
+        assert after["grouping_passes"] == before["grouping_passes"]
         assert after["partition_refinements"] == before["partition_refinements"]
 
     def test_merge_kernel_stats_preserves_float_timers(self):
         merged = merge_kernel_stats(
             [
                 {"grouping_passes": 3, "partition_build_ms": 0.25},
-                {"grouping_passes": 2, "partition_build_ms": 0.5,
-                 "strata_build_ms": 1.75},
+                {"grouping_passes": 2, "partition_build_ms": 0.5},
+                {"grouping_passes": 1},
             ]
         )
-        assert merged["grouping_passes"] == 5
+        assert merged["grouping_passes"] == 6
         assert merged["partition_build_ms"] == pytest.approx(0.75)
-        assert merged["strata_build_ms"] == pytest.approx(1.75)
         assert isinstance(merged["grouping_passes"], int)
+        assert isinstance(merged["partition_build_ms"], float)
 
     @pytest.mark.parametrize("table", TABLES)
     def test_timers_and_fused_counter_populated(self, table):
@@ -437,17 +337,15 @@ class TestPayloadRoundTrips:
         registry = GammaKernelRegistry()
         kernel = use_table(registry.ensure_kernel(structure), table)
         kernel.entry((0, 1), (0,))
-        kernel.strata((0, 1))
         stats = kernel.kernel_stats
         aggregate = registry.aggregate_counters()
         assert stats["entry_fused_passes"] == 1
-        assert stats["strata_refinements"] == 2  # (0,) then (0, 1)
+        assert stats["partition_refinements"] == 2  # (0,) then (0, 1)
         for key in TIMING_STAT_KEYS:
             assert isinstance(stats[key], float)
             assert stats[key] >= 0.0
             assert aggregate[key] == stats[key]
         assert stats["partition_build_ms"] > 0.0
-        assert stats["strata_build_ms"] > 0.0
 
 
 @pytest.fixture(scope="module")
