@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PrivacyError
 from repro.privacy.kernel_registry import (
+    COUNTER_KEYS,
     TIMING_STAT_KEYS,
     WORD_BYTES,
     GammaKernelRegistry,
@@ -458,3 +459,28 @@ def test_default_registry_is_freed_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_strata_is_a_stub_that_refuses():
+    """Only the exact path remains: asking a kernel for strata raises
+    and caches nothing."""
+    kernel = GammaKernelRegistry().ensure_kernel(
+        RelationStructure((2,), (2,), ((0, 1, 1),), ((1, 0, 1),))
+    )
+    with pytest.raises(PrivacyError):
+        kernel.strata((0,))
+    assert kernel.export_entries() == ()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["sample_passes", "sample_hits", "strata_refinements", "strata_build_ms"],
+)
+def test_sampling_stats_are_gone_from_every_surface(key):
+    registry = GammaKernelRegistry()
+    relation = ModuleRelation.random("S", seed=2, registry=registry)
+    relation.achieved_gamma({"S.in0"})
+    assert key not in COUNTER_KEYS + TIMING_STAT_KEYS
+    assert key not in relation.kernel.kernel_stats
+    assert key not in registry.kernel_stats
+    assert key not in registry.aggregate_counters()

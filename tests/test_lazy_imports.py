@@ -109,6 +109,13 @@ def test_submodule_imports_still_work():
     assert ShardCoordinator is sys.modules["repro.service.coordinator"].ShardCoordinator
 
 
+def test_approx_module_is_gone():
+    """The sampled-Gamma module was deleted, not hidden behind a name."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.privacy.approx")
+    assert "approx" not in dir(repro.privacy)
+
+
 def test_experiment_registry_imports_on_lookup():
     from repro.experiments import ALL_EXPERIMENTS, ALL_HEADLINES, e9_sharding
 

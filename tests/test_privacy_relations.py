@@ -7,11 +7,14 @@ scale.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.errors import PrivacyError
 from repro.execution.behaviors import TableBehavior
 from repro.experiments.workloads import scaled_structure
+from repro.privacy.kernel_registry import GammaKernelRegistry
 from repro.privacy.module_privacy import exact_safe_subset
 from repro.privacy.relations import Attribute, KernelRelation, ModuleRelation
 from repro.privacy.tradeoff import gamma_cost_frontier
@@ -189,3 +192,69 @@ class TestKernelRelationAdapter:
         )
         relation = KernelRelation("W", structure, weights={"i0": 5.0})
         assert relation.hiding_cost(("i0", "o0")) == 6.0
+
+
+def _adapter_names(relation: ModuleRelation, hidden) -> tuple[str, ...]:
+    """``relation``'s attribute names mapped to the adapter's positional ones."""
+    positional = {
+        attribute.name: f"i{index}" for index, attribute in enumerate(relation.inputs)
+    }
+    positional.update(
+        (attribute.name, f"o{index}")
+        for index, attribute in enumerate(relation.outputs)
+    )
+    return tuple(positional[name] for name in hidden)
+
+
+class TestKernelRelationMatchesModuleRelation:
+    """The adapter over a relation's structure answers exactly as the
+    relation itself -- the exact path E12 times is the solvers' path."""
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_every_hidden_set_has_the_same_gamma(self, seed):
+        relation = ModuleRelation.random(
+            "M", n_inputs=2, n_outputs=2, domain_size=3, seed=seed
+        )
+        adapter = KernelRelation("K", relation.structure_signature)
+        names = [attribute.name for attribute in relation.attributes]
+        for size in range(len(names) + 1):
+            for hidden in itertools.combinations(names, size):
+                expected = relation.reference_achieved_gamma(hidden)
+                assert relation.achieved_gamma(hidden) == expected
+                assert adapter.achieved_gamma(
+                    _adapter_names(relation, hidden)
+                ) == expected
+
+    def test_frontier_matches_the_module_relation(self):
+        relation = ModuleRelation.random(
+            "M", n_inputs=2, n_outputs=2, domain_size=3, seed=6
+        )
+        adapter = KernelRelation("K", relation.structure_signature)
+        gammas = (2, 3, 6)
+        expected = gamma_cost_frontier(relation, gammas=gammas)
+        got = gamma_cost_frontier(adapter, gammas=gammas)
+        assert len(got) == len(gammas)
+        assert [(p.gamma, p.cost, p.achieved_gamma) for p in got] == [
+            (p.gamma, p.cost, p.achieved_gamma) for p in expected
+        ]
+        for point in got:
+            assert adapter.achieved_gamma(point.hidden) == point.achieved_gamma
+
+    def test_max_gamma_is_the_hidden_output_space(self):
+        relation = scaled_relation(rows=200, seed=5)
+        structure = relation.structure_signature
+        space = 1
+        for size in structure.output_domain_sizes:
+            space *= size
+        assert relation.max_gamma() == space
+
+    def test_registry_shares_one_kernel_per_structure(self):
+        structure = scaled_structure(
+            rows=80, n_inputs=2, n_outputs=1, domain_size=3, seed=4
+        )
+        registry = GammaKernelRegistry()
+        first = KernelRelation("A", structure, registry=registry)
+        second = KernelRelation("B", structure, registry=registry)
+        assert first.kernel is second.kernel
+        assert first.kernel is registry.kernel_for(structure)
+        assert KernelRelation("C", structure).kernel is not first.kernel

@@ -148,6 +148,12 @@ class TestCli:
         assert main(["experiment", "E42"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_experiment_command_has_no_seed_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiment", "E12", "--seed", "11"])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_search_command(self, capsys):
         assert main(["search", "Database, Disorder Risks", "--level", "1"]) == 0
         output = capsys.readouterr().out
