@@ -49,7 +49,8 @@ bench-check:
 BENCH_FLOORS = \
 	benchmarks/bench_core_operations.py::test_kernel_refinement_speedup_floor \
 	benchmarks/bench_core_operations.py::test_kernel_fused_entry_speedup_floor \
-	benchmarks/bench_service.py::test_inprocess_gammas_overhead_floor
+	benchmarks/bench_service.py::test_inprocess_gammas_overhead_floor \
+	benchmarks/bench_service.py::test_inprocess_pipelined_search_floor
 
 bench-floors:
 	$(PYTHON) -m pytest -q $(BENCH_FLOORS)

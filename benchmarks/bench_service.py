@@ -47,6 +47,10 @@ And a floor on in-process dispatch:
   reads it answers from (a batch round trip per call measured ~30x).
   A within-run ratio, so runner speed cancels out; ``make
   bench-floors`` checks it with the other speedup floors.
+* **no in-process speculation** -- an E10 secure-view search on a
+  fresh ``ShardCoordinator(0)`` costs at most 1.5x at depth 4 what it
+  costs at depth 1 (speculating there measured about 4x), also in
+  ``make bench-floors``.
 
 The ``service``-named benchmarks are regression-guarded by
 ``check_regression.py``.
@@ -78,6 +82,10 @@ SWEEP_MODULES = 24
 #: Calls per timed round of the in-process overhead floor: one warm call
 #: takes microseconds, too short to time alone.
 OVERHEAD_CALLS = 2000
+
+#: Fresh solves per depth in the in-process pipelining floor (a solve
+#: takes a few milliseconds, so a best-of-9 rides out scheduler noise).
+PIPELINED_SEARCH_ROUNDS = 9
 
 
 def _cold_work(stats: dict[str, int]) -> int:
@@ -141,6 +149,48 @@ def test_inprocess_gammas_overhead_floor():
     assert ratio <= 4.0, (
         f"in-process gammas() costs {ratio:.2f}x its kernel reads "
         f"({per_call_us:.2f} us vs {kernel_s / OVERHEAD_CALLS * 1e6:.2f} us)"
+    )
+
+
+def test_inprocess_pipelined_search_floor():
+    """In process, a depth-4 secure-view search costs <= 1.5x depth 1.
+
+    An in-process coordinator answers each check at the cost of its
+    kernel reads, so there is no latency for speculation to hide: the
+    solver runs depth k > 1 exactly as depth 1 (speculating measured
+    about 4x).  Each round solves the E10 default workload on a fresh
+    ``ShardCoordinator(0)``; both depths are timed in one run, so runner
+    speed cancels out.
+    """
+    config = E10Config()
+    oracle = exact_secure_view(build_requirements(config))
+
+    def fresh_solves(depth: int):
+        cells = iter(
+            [
+                (build_requirements(config), ShardCoordinator(0))
+                for _ in range(PIPELINED_SEARCH_ROUNDS)
+            ]
+        )
+
+        def solve():
+            requirements, coordinator = next(cells)
+            result = exact_secure_view(
+                requirements, service=coordinator, pipeline_depth=depth
+            )
+            assert result.hidden_labels == oracle.hidden_labels
+            assert result.evaluations == oracle.evaluations
+
+        return solve
+
+    sequential_s, pipelined_s = (
+        _best_seconds(fresh_solves(depth), rounds=PIPELINED_SEARCH_ROUNDS)
+        for depth in (1, 4)
+    )
+    ratio = pipelined_s / sequential_s if sequential_s else float("inf")
+    assert ratio <= 1.5, (
+        f"in-process depth 4 costs {ratio:.2f}x depth 1 "
+        f"({pipelined_s * 1000:.2f} ms vs {sequential_s * 1000:.2f} ms)"
     )
 
 

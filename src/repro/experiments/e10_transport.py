@@ -21,12 +21,12 @@ cells -- the pipelining-changes-nothing invariant), dispatch-latency
 percentiles from the coordinator (where the time goes), and retry
 counters.  The expected shape: depth k > 1 beats k = 1 most on the
 highest-latency transports (sockets), and ``matches_oracle`` is True
-everywhere.  In process, depth 1 is the fastest cell: its synchronous
-calls read every Gamma straight from the coordinator's kernels (no
-batch, no latency sample, so its ``p50_ms`` reads 0.0), while depth
-k > 1 pays for batched speculation with no latency to hide (default
-workload on a 2-core VM: about 4.4 ms at depth 1 against 18-21 ms at
-depths 4 and 8).
+everywhere.  In process there is no latency to hide, so the solver
+never speculates there: every in-process cell runs as depth 1, its
+synchronous calls reading each Gamma straight from the coordinator's
+kernels (no batch, no latency sample, so ``p50_ms`` reads 0.0).  On
+the default workload on a 2-core VM the three in-process cells take
+about 2.5 ms each; speculating there took 11-12 ms at depths 4 and 8.
 """
 
 from __future__ import annotations

@@ -239,21 +239,20 @@ class NumpyTable:
         rank[order] = np.arange(order.size, dtype=np.int64)
         return rank[inverse]
 
-    def _fold_output_codes(self, code, ncodes: int, visible_outputs, index):
+    def _fold_output_codes(self, code, ncodes: int, visible_outputs):
         """Fold visible output columns into a dense running group code.
 
-        ``code`` holds dense group ids in ``[0, ncodes)`` for the rows
-        selected by ``index`` (``None`` selects all rows).  Each column
-        widens the key space to ``ncodes·domain`` and re-compresses it
-        through a dense occupancy cumsum -- no sort -- falling back to
-        ``np.unique`` (same codes: both number keys in ascending key
-        order) when the key space outgrows the guard.
+        ``code`` holds dense group ids in ``[0, ncodes)``, one per row.
+        Each column widens the key space to ``ncodes·domain`` and
+        re-compresses it through a dense occupancy cumsum -- no sort --
+        falling back to ``np.unique`` (same codes: both number keys in
+        ascending key order) when the key space outgrows the guard.
         """
         rows = code.size
         for output in visible_outputs:
-            column = self.output_matrix[output]
-            values = column if index is None else column[index]
-            combined = code * self.output_domain_sizes[output] + values
+            combined = (
+                code * self.output_domain_sizes[output] + self.output_matrix[output]
+            )
             space = ncodes * self.output_domain_sizes[output]
             if _dense_space_ok(space, rows):
                 occupied = np.zeros(space, dtype=np.bool_)
@@ -293,9 +292,7 @@ class NumpyTable:
         for output in visible_outputs:
             radix *= self.output_domain_sizes[output]
         if not _dense_space_ok(blocks * radix, 8 * rows):
-            code, ncodes = self._fold_output_codes(
-                partition, blocks, visible_outputs, None
-            )
+            code, ncodes = self._fold_output_codes(partition, blocks, visible_outputs)
             representative = np.empty(ncodes, dtype=np.int64)
             representative[code] = np.arange(rows, dtype=np.int64)
             owners = partition[representative]

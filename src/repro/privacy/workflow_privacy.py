@@ -17,7 +17,7 @@ lazily in best-first branch-and-bound order (admissible bound = subset
 cost, monotone-feasibility pruning) instead of materializing all 2^n
 label combinations.
 
-Two further accelerations sit on top of the kernel:
+Three further accelerations sit on top of the kernel:
 
 * **cross-module incremental bound** -- Gamma is monotone in the hidden
   set, so once a module's requirement is met by some subset it is met by
@@ -37,6 +37,9 @@ Two further accelerations sit on top of the kernel:
   nodes, correlates out-of-order completions by request id, and
   discards speculations for pruned nodes, hiding per-node transport
   latency on deep searches while provably returning the same view.
+  Speculation never targets an in-process service: it answers each
+  check at the cost of its kernel reads, so there is no latency to
+  hide, and the solve runs as at depth 1.
 """
 
 from __future__ import annotations
@@ -234,11 +237,7 @@ class WorkflowPrivacyRequirements:
         Short-circuits on the first unmet requirement; each per-module
         Gamma comes from the relation's memoized kernel.
         """
-        hidden = set(hidden_labels)
-        return all(
-            requirement.relation.achieved_gamma(hidden & scope) >= requirement.gamma
-            for requirement, scope in self._label_scopes()
-        )
+        return not self.unsatisfied_indices(hidden_labels, first_only=True)
 
     def gamma_requests(
         self, hidden_labels: Iterable[str], indices: Sequence[int]
@@ -370,110 +369,25 @@ def exact_secure_view(
     extension cannot satisfy the requirements.
 
     Every frontier node carries the indices of the modules still
-    unsatisfied on its subset (the cross-module incremental bound):
-    descendants re-evaluate only those, so a module discharged near the
-    root is never touched again anywhere in its subtree.  With a
-    ``service``, a node that re-checks two or more modules runs their
-    Gamma evaluations as one batch on the sharded evaluation service (in
-    parallel across worker processes).  At ``pipeline_depth`` 1 a node
-    that re-checks a single module answers it from that relation's
-    local kernel when the service is remote, saving a round trip.  An
-    in-process service (``ShardCoordinator(0)``) answers every check and
-    the result's ``module_gammas`` directly from its own kernels, so the
-    relations' kernels stay cold and each key is computed once.
-    :meth:`WorkflowPrivacyRequirements.unsatisfied_indices` picks the
-    path.  Results are identical either way.
+    unsatisfied as of its parent (the cross-module incremental bound):
+    a node re-checks only those, so a module discharged near the root is
+    never touched again anywhere in its subtree.
+    :meth:`WorkflowPrivacyRequirements.unsatisfied_indices` answers each
+    check: an in-process service (``ShardCoordinator(0)``) answers every
+    check from its own kernels, a remote one gets a node's checks of two
+    or more modules as one batch, and the rest read the relation's local
+    kernel.
 
-    ``pipeline_depth`` k > 1 (with a ``service``) additionally
-    *pipelines* the frontier: the Gamma batches of the top-k frontier
-    nodes are dispatched speculatively before the best node is popped,
-    completions are correlated by request id in whatever order the
-    transport delivers them, and speculative results whose node is
-    pruned (or that are still in flight when the search ends) are
-    discarded.  Deep searches thereby overlap per-node transport
-    latency with evaluation instead of paying one round trip per node.
-    The view is provably identical to sequential dispatch: nodes are
-    popped in the same priority order, every per-node evaluation is the
-    same deterministic batch, and the speculative bound check uses the
-    parent's unsatisfied set whose emptiness answer Gamma-monotonicity
-    makes equal to the sequential one -- which is also why the
-    ``evaluations`` count matches exactly (only *consumed* evaluations
-    are counted, at the same points the sequential solver counts them).
-    Exponential in the worst case, intended for small workflows and as
-    the optimality baseline of experiments E1/E10.
-    """
-    if service is not None and pipeline_depth > 1:
-        return _exact_secure_view_pipelined(
-            requirements, service, pipeline_depth
-        )
-    labels = requirements.all_labels()
-    evaluations = 1
-    all_indices = tuple(range(len(requirements.requirements)))
-    if requirements.unsatisfied_indices(
-        labels, all_indices, service=service, first_only=True
-    ):
-        raise InfeasiblePrivacyError(
-            "the requirements cannot be met even when hiding every label"
-        )
-    weights = {label: requirements.weight_of(label) for label in labels}
-    order = sorted(labels, key=lambda label: (weights[label], label))
-    # (cost, size, subset, next position, indices of still-unsatisfied
-    # modules as of the *parent's* evaluation -- the child narrows them).
-    frontier: list[tuple[float, int, tuple[str, ...], int, tuple[int, ...]]] = [
-        (0.0, 0, (), 0, all_indices)
-    ]
-    while frontier:
-        cost, size, subset, next_position, unsatisfied = heapq.heappop(frontier)
-        evaluations += 1
-        unsatisfied = requirements.unsatisfied_indices(
-            subset, unsatisfied, service=service
-        )
-        if not unsatisfied:
-            return requirements._result(
-                set(subset), optimal=True, evaluations=evaluations, service=service
-            )
-        if next_position >= len(order):
-            continue
-        evaluations += 1
-        if requirements.unsatisfied_indices(
-            subset + tuple(order[next_position:]),
-            unsatisfied,
-            service=service,
-            first_only=True,
-        ):
-            continue
-        for position in range(next_position, len(order)):
-            label = order[position]
-            heapq.heappush(
-                frontier,
-                (
-                    cost + weights[label],
-                    size + 1,
-                    subset + (label,),
-                    position + 1,
-                    unsatisfied,
-                ),
-            )
-    raise InfeasiblePrivacyError(
-        "no label subset satisfies the requirements"
-    )  # pragma: no cover - unreachable because of the feasibility pre-check
-
-
-def _exact_secure_view_pipelined(
-    requirements: WorkflowPrivacyRequirements,
-    service: "ShardCoordinator",
-    pipeline_depth: int,
-) -> SecureViewResult:
-    """The pipelined (speculative top-k frontier) exact solver.
-
-    Same search tree, same pops, same result as the sequential path --
-    see :func:`exact_secure_view` for the argument.  Each frontier node
-    carries up to two in-flight requests: its *node* batch (Gamma of
-    its subset over the parent's unsatisfied modules) and its *bound*
-    batch (Gamma of its maximal extension over the same indices,
-    dispatched before the narrowed set is known -- monotonicity makes
-    the emptiness verdict identical).  ``service.discard`` drops the
-    speculations that are still in flight when the optimum is found.
+    With a ``service`` that is not in process and ``pipeline_depth``
+    k > 1, the node and bound checks of the top-k frontier nodes are
+    submitted speculatively before the best node is popped, collected by
+    request id, and discarded when still in flight at the end.  The view
+    and ``evaluations`` are identical to k = 1: nodes pop in the same
+    order, each node check is the same batch, and a speculated bound
+    check covers the parent's indices, whose emptiness monotonicity
+    makes equal to the check over the node's narrowed ones.  Exponential
+    in the worst case, intended for small workflows and as the
+    optimality baseline of experiments E1/E10.
     """
     labels = requirements.all_labels()
     evaluations = 1
@@ -486,74 +400,72 @@ def _exact_secure_view_pipelined(
         )
     weights = {label: requirements.weight_of(label) for label in labels}
     order = sorted(labels, key=lambda label: (weights[label], label))
-    rest = {
-        position: tuple(order[position:]) for position in range(len(order) + 1)
-    }
+    rest = [tuple(order[position:]) for position in range(len(order) + 1)]
+    speculate = (
+        service is not None and pipeline_depth > 1 and not _in_process(service)
+    )
     Node = tuple[float, int, tuple[str, ...], int, tuple[int, ...]]
+    # (cost, size, subset, next position, indices of still-unsatisfied
+    # modules as of the *parent's* evaluation -- the node narrows them).
     frontier: list[Node] = [(0.0, 0, (), 0, all_indices)]
-    #: node -> (node-batch request id, bound-batch request id | None)
-    inflight: dict[Node, tuple[int, int | None]] = {}
+    # Speculated [node check, bound check] request ids per frontier node.
+    # The popped node's stay in `popped` until collected, so the
+    # `finally` discards every request still in flight, error or not.
+    inflight: dict[Node, list[int | None]] = {}
+    popped: list[int | None] = [None, None]
 
     def dispatch(node: Node) -> None:
-        if node in inflight:
-            return
         _, _, subset, next_position, unsatisfied = node
-        node_request = service.submit(
-            requirements.gamma_requests(subset, unsatisfied)
-        )
-        bound_request = None
+        inflight[node] = requests = [None, None]
+        requests[0] = service.submit(requirements.gamma_requests(subset, unsatisfied))
         if next_position < len(order):
-            bound_request = service.submit(
+            requests[1] = service.submit(
                 requirements.gamma_requests(subset + rest[next_position], unsatisfied)
             )
-        inflight[node] = (node_request, bound_request)
 
-    def discard_all() -> None:
-        for node_request, bound_request in inflight.values():
-            service.discard(node_request)
-            if bound_request is not None:
-                service.discard(bound_request)
-        inflight.clear()
-
-    def gammas_of(request_id: int) -> list[int]:
-        return [result.gamma for result in service.collect(request_id)]
+    def collected(slot: int, indices: tuple[int, ...]) -> tuple[int, ...]:
+        gammas = [result.gamma for result in service.collect(popped[slot])]
+        popped[slot] = None
+        return requirements.narrow(indices, gammas)
 
     try:
         while frontier:
-            # Speculate: the top-k frontier nodes' batches go out before
-            # the best node is popped, so by the time it (and its
-            # successors) are consumed their results are in flight or
-            # already banked.  The O(n log k) top-k scan per pop is the
-            # price of tracking an evolving heap top; it is dwarfed by
-            # the Gamma batches it saves round trips on.
-            if len(frontier) <= pipeline_depth:
-                for node in frontier:
-                    dispatch(node)
-            else:
-                for node in heapq.nsmallest(pipeline_depth, frontier):
-                    dispatch(node)
+            if speculate:
+                # The O(n log k) top-k scan per pop is dwarfed by the
+                # round trips it hides.
+                top = frontier
+                if len(frontier) > pipeline_depth:
+                    top = heapq.nsmallest(pipeline_depth, frontier)
+                for node in top:
+                    if node not in inflight:
+                        dispatch(node)
             node = heapq.heappop(frontier)
             cost, size, subset, next_position, unsatisfied = node
-            node_request, bound_request = inflight.pop(node)
+            popped[:] = inflight.pop(node, (None, None))
             evaluations += 1
-            narrowed = requirements.narrow(unsatisfied, gammas_of(node_request))
+            if popped[0] is not None:
+                narrowed = collected(0, unsatisfied)
+            else:
+                narrowed = requirements.unsatisfied_indices(
+                    subset, unsatisfied, service=service
+                )
             if not narrowed:
-                if bound_request is not None:
-                    service.discard(bound_request)
                 return requirements._result(
-                    set(subset),
-                    optimal=True,
-                    evaluations=evaluations,
-                    service=service,
+                    set(subset), optimal=True, evaluations=evaluations, service=service
                 )
             if next_position >= len(order):
                 continue
             evaluations += 1
-            # Speculative bound over the parent's (pre-narrow) indices:
-            # indices outside `narrowed` are satisfied at `subset`, hence
-            # (monotonicity) at every extension -- they contribute nothing,
-            # so emptiness here equals the sequential check on `narrowed`.
-            if requirements.narrow(unsatisfied, gammas_of(bound_request)):
+            if popped[1] is not None:
+                unmet = collected(1, unsatisfied)
+            else:
+                unmet = requirements.unsatisfied_indices(
+                    subset + rest[next_position],
+                    narrowed,
+                    service=service,
+                    first_only=True,
+                )
+            if unmet:
                 continue
             for position in range(next_position, len(order)):
                 label = order[position]
@@ -568,7 +480,10 @@ def _exact_secure_view_pipelined(
                     ),
                 )
     finally:
-        discard_all()
+        for requests in (popped, *inflight.values()):
+            for request_id in requests:
+                if request_id is not None:
+                    service.discard(request_id)
     raise InfeasiblePrivacyError(
         "no label subset satisfies the requirements"
     )  # pragma: no cover - unreachable because of the feasibility pre-check

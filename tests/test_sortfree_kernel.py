@@ -381,9 +381,9 @@ def fold_calls(monkeypatch):
     calls: list[tuple[int, ...]] = []
     fold = NumpyTable._fold_output_codes
 
-    def spy(self, code, ncodes, visible_outputs, index):
+    def spy(self, code, ncodes, visible_outputs):
         calls.append(tuple(visible_outputs))
-        return fold(self, code, ncodes, visible_outputs, index)
+        return fold(self, code, ncodes, visible_outputs)
 
     monkeypatch.setattr(NumpyTable, "_fold_output_codes", spy)
     return calls

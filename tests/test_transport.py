@@ -799,6 +799,34 @@ class TestShippedStructureSignatures:
             assert server.stats()["server_errors"] == 1
 
 
+class _RecordingService:
+    """Forwards to an in-process coordinator and records each call's name.
+
+    It has no ``in_process`` attribute, so the solver treats it as a
+    remote service and speculates against it at depth k > 1.
+    """
+
+    def __init__(self):
+        self.inner = ShardCoordinator(0)
+        self.calls: list[str] = []
+
+    def gammas(self, requests):
+        self.calls.append("gammas")
+        return self.inner.gammas(requests)
+
+    def submit(self, requests):
+        self.calls.append("submit")
+        return self.inner.submit(requests)
+
+    def collect(self, request_id):
+        self.calls.append("collect")
+        return self.inner.collect(request_id)
+
+    def discard(self, request_id):
+        self.calls.append("discard")
+        self.inner.discard(request_id)
+
+
 class TestPipelinedSecureView:
     def _check_equivalent(self, candidate, baseline):
         assert candidate.hidden_labels == baseline.hidden_labels
@@ -809,13 +837,63 @@ class TestPipelinedSecureView:
 
     def test_secure_view_wrapper_passes_depth(self):
         baseline = exact_secure_view(search_requirements())
+        service = _RecordingService()
         result = secure_view(
             search_requirements(),
             solver="exact",
-            service=ShardCoordinator(0),
+            service=service,
             pipeline_depth=4,
         )
         self._check_equivalent(result, baseline)
+        assert "submit" in service.calls
+
+    def test_inprocess_service_is_never_speculated_against(self):
+        # An in-process coordinator answers each check at the cost of its
+        # kernel reads: depth 4 must run exactly as depth 1, no submits.
+        coordinator = ShardCoordinator(0)
+        submits = []
+        original_submit = coordinator.submit
+
+        def counting_submit(requests, **kwargs):
+            submits.append(requests)
+            return original_submit(requests, **kwargs)
+
+        coordinator.submit = counting_submit
+        result = exact_secure_view(
+            search_requirements(), service=coordinator, pipeline_depth=4
+        )
+        assert submits == []
+        baseline = exact_secure_view(
+            search_requirements(), service=ShardCoordinator(0)
+        )
+        self._check_equivalent(result, baseline)
+
+    def test_failed_collect_leaves_nothing_in_flight(self):
+        # Collect 1 is the feasibility pre-check's; from 2 on they
+        # alternate between a popped node's node and bound checks.  Each
+        # completes and then raises, as a shed or a task error would: the
+        # solve fails, and none of its speculations may stay pending.
+        with ShardCoordinator(2, task_timeout=30.0) as coordinator:
+            original_collect = coordinator.collect
+            for failing in range(1, 9):
+                calls = []
+
+                def failing_collect(request_id):
+                    calls.append(request_id)
+                    results = original_collect(request_id)
+                    if len(calls) == failing:
+                        raise ServiceError("injected collect failure")
+                    return results
+
+                coordinator.collect = failing_collect
+                with pytest.raises(ServiceError, match="injected"):
+                    exact_secure_view(
+                        search_requirements(71),
+                        service=coordinator,
+                        pipeline_depth=4,
+                    )
+                assert not coordinator._pending, failing
+                assert not coordinator._batch_requests, failing
 
     def test_speculative_error_does_not_abort_other_collects(self):
         # An error belonging to request B, arriving while request A's
