@@ -118,8 +118,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"note: {experiment_id} does not take --endpoints; ignoring",
                 file=sys.stderr,
             )
-    for option in ("probe_interval", "rebalance", "coalesce", "tls_ca",
-                   "auth_token"):
+    for option in ("probe_interval", "coalesce", "tls_ca", "auth_token"):
         value = getattr(args, option, None)
         if value is None:
             continue
@@ -286,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "worker processes for experiments backed by the Gamma "
-            "evaluation service (E9-E11); 0 forces the in-process fallback"
+            "Gamma servers to fork for experiments backed by the "
+            "evaluation service (E9, E10), one per worker, each on a "
+            "private unix socket; 0 forces the in-process fallback"
         ),
     )
     experiment.add_argument(
@@ -319,15 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
             "health-prober cadence in seconds for elastic federation "
             "experiments (E11); lost endpoints are pinged and re-admitted "
             "on recovery"
-        ),
-    )
-    experiment.add_argument(
-        "--rebalance",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "enable/disable warm-kernel handoff when a re-admitted "
-            "endpoint takes its shards back (E11; default on)"
         ),
     )
     experiment.add_argument(

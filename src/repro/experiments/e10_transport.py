@@ -6,10 +6,11 @@ best-first branch-and-bound whose every node used to pay one service
 round trip -- gains from the two PR 4 mechanisms:
 
 * **transport abstraction** -- the same exact solver runs against the
-  in-process oracle (``workers=0``), the multiprocess worker pool, and
-  a standalone :class:`~repro.service.server.GammaServer` over unix and
-  TCP sockets, byte-identical by contract (every row is checked against
-  the local-kernel oracle);
+  in-process oracle (``workers=0``), the ``multiprocess`` cell
+  (``workers=N``: a pool over N forked servers on private unix
+  sockets), and a standalone :class:`~repro.service.server.GammaServer`
+  over unix and TCP sockets, byte-identical by contract (every row is
+  checked against the local-kernel oracle);
 * **pipelined frontier evaluation** -- ``pipeline_depth`` k > 1
   dispatches the Gamma batches of the top-k frontier nodes
   speculatively, so per-node transport latency overlaps evaluation
@@ -100,8 +101,8 @@ def run(
 ) -> ResultTable:
     """Run E10: one row per (transport, pipeline depth).
 
-    ``workers`` (the CLI's ``--workers``) overrides the worker count of
-    the multiprocess transport cell.  Socket cells share one warm
+    ``workers`` (the CLI's ``--workers``) overrides how many servers the
+    multiprocess cell forks.  Socket cells share one warm
     server per address family, so the depth sweep also shows the
     multi-tenant warm-kernel effect (later cells hit warm kernels).
     """

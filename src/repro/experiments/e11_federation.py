@@ -111,7 +111,6 @@ def run(
     *,
     endpoints: Sequence[str] | None = None,
     probe_interval: float | None = None,
-    rebalance: bool | None = None,
 ) -> ResultTable:
     """Run E11: one row per (federation size, tenant).
 
@@ -177,11 +176,7 @@ def run(
                     server.close()
         if (config.elastic or probe_interval is not None) and not endpoints:
             rows.extend(
-                elastic_run(
-                    config,
-                    probe_interval=probe_interval or 0.05,
-                    rebalance=True if rebalance is None else rebalance,
-                )
+                elastic_run(config, probe_interval=probe_interval or 0.05)
             )
         if config.tenancy and not endpoints:
             rows.extend(tenancy_run(config))
@@ -208,7 +203,6 @@ def elastic_run(
     config: E11Config | None = None,
     *,
     probe_interval: float = 0.05,
-    rebalance: bool = True,
 ) -> ResultTable:
     """The kill -> recover -> re-admit sweep: one row per phase.
 
@@ -254,7 +248,6 @@ def elastic_run(
             endpoints=addresses,
             task_timeout=120.0,
             probe_interval=probe_interval,
-            rebalance=rebalance,
             max_restarts=1,
         ) as client:
             pool = client.transport
@@ -310,16 +303,15 @@ def elastic_run(
             baseline = max(int(cold_row["cold_work"]), 1)
             skip_ratio = 1.0 - int(readmit_row["cold_work"]) / baseline
             readmit_row["handoff_skip_ratio"] = round(skip_ratio, 4)
-            if rebalance:
-                # The elastic analogue of bench_service's warm-start
-                # guard: re-admission must not repeat cold work.
-                assert pool.readmissions >= 1, "prober never re-admitted"
-                assert pool.handoff_entries > 0, "handoff moved no entries"
-                assert skip_ratio >= 0.9, (
-                    f"warm handoff skipped only {skip_ratio:.0%} of cold "
-                    f"work (cold={cold_row['cold_work']}, "
-                    f"readmit={readmit_row['cold_work']})"
-                )
+            # The elastic analogue of bench_service's warm-start guard:
+            # re-admission must not repeat cold work.
+            assert pool.readmissions >= 1, "prober never re-admitted"
+            assert pool.handoff_entries > 0, "handoff moved no entries"
+            assert skip_ratio >= 0.9, (
+                f"warm handoff skipped only {skip_ratio:.0%} of cold "
+                f"work (cold={cold_row['cold_work']}, "
+                f"readmit={readmit_row['cold_work']})"
+            )
     finally:
         for server in servers.values():
             server.close(snapshot=False)

@@ -6,7 +6,8 @@ measures the service that spreads the work across *processes*
 (:mod:`repro.service`).  The sweep crosses four axes:
 
 * **workers** -- 0 (the in-process fallback, also the correctness
-  oracle) versus sharded worker pools;
+  oracle) versus N forked Gamma servers, one shard each, behind one
+  connection pool;
 * **dispatch** -- on multi-worker cells, the PR 6 **legacy** path (one
   IPC round trip per request) versus the **coalesced** path (per-shard
   buffers flush many requests as one batch).  Both ship row tables by
@@ -23,7 +24,9 @@ measures the service that spreads the work across *processes*
 
 Every cell runs twice against the same snapshot directory: a **cold**
 start (empty directory) and a **warm** restart that preloads the kernels
-persisted at the previous shutdown.  The expected shape: sharded results
+persisted at the previous shutdown (each forked server keeps its own
+``shard-i-of-N`` subdirectory, so both starts use the same worker
+count).  The expected shape: sharded results
 match the in-process kernel exactly on every row; cold-start work
 (partition refinements + grouping passes) collapses to ~0 on warm
 restarts; and with enough cores the sharded sweep beats ``workers=0``

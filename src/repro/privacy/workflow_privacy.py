@@ -28,8 +28,8 @@ Three further accelerations sit on top of the kernel:
   :class:`~repro.service.coordinator.ShardCoordinator` as ``service``
   routes the per-module Gamma evaluations of each search node to the
   evaluation service in one batch (structurally identical modules hit
-  the same warm kernel) over any transport -- in-process, multiprocess
-  pool, or a socket to a shared server; ``workers=0`` coordinators
+  the same warm kernel) over any transport -- in-process, a pool of
+  forked servers, or a socket to a shared server; ``workers=0`` coordinators
   evaluate in an in-process registry with byte-identical results, and
   answer every Gamma of the solve there, so each key is computed once;
 * **pipelined frontier evaluation** -- ``pipeline_depth`` k > 1

@@ -7,7 +7,8 @@ relations; this subsystem distributes that work.  The *policy* layer
 ships structures once, correlates out-of-order completions by request
 id and retries around crashes.  The *mechanics* live behind the
 :class:`~repro.service.transport.Transport` interface: in-process
-(``workers=0``, the oracle), a multiprocess worker pool,
+(``workers=0``, the oracle), a pool over N forked servers
+(``workers=N``, :class:`~repro.service.forked.ForkedServerPool`),
 length-prefixed frames over unix/TCP sockets to a standalone
 :class:`~repro.service.server.GammaServer` (``repro serve``) shared by
 many client processes, or a federated pool of several servers
@@ -35,6 +36,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "coordinator": ("GammaRequest", "ShardCoordinator"),
+        "forked": ("ForkedServerPool",),
         "persistence": ("KernelSnapshotStore",),
         "pool": ("PooledTransport",),
         "protocol": (
@@ -59,7 +61,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "transport": (
             "ExponentialBackoff",
             "InProcessTransport",
-            "MultiprocessTransport",
             "SocketTransport",
             "Transport",
             "build_transport",

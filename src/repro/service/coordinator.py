@@ -9,16 +9,17 @@ per-batch dispatch latency, and retries batches whose shard died.  The
 mechanics of moving batches live behind the
 :class:`~repro.service.transport.Transport` interface: an in-process
 registry (``workers=0`` -- the no-dependency fallback and the oracle
-every other transport is tested byte-identical against), a
-multiprocess worker pool (``workers=N``), a socket connection to a
-standalone :mod:`repro.service.server` (``address=...``), or a
+every other transport is tested byte-identical against), a pool over N
+forked servers (``workers=N`` --
+:class:`~repro.service.forked.ForkedServerPool`), a socket connection
+to a standalone :mod:`repro.service.server` (``address=...``), or a
 federated pool of servers routed by structure signature
 (``endpoints=[...]`` -- :class:`~repro.service.pool.PooledTransport`).
 
 The coordinator is thread-safe: a reentrant lock serializes dispatch
 bookkeeping and the result pump, so several client threads may share
-one coordinator (and one worker pool's warm kernels) while multiprocess
-shards evaluate genuinely in parallel.
+one coordinator (and its servers' warm kernels) while the servers
+evaluate genuinely in parallel.
 
 Two client APIs:
 
@@ -44,16 +45,16 @@ IPC round trip carrying the tasks of several requests); the default
 ``coalesce=0`` flushes each submit's shard batches at once.  Completion
 is tracked per task, so requests sharing a batch still complete and
 fail independently.  Every transport ships a structure by value, once
-per shard: a multiprocess worker unpickles its own copy of the two
-column matrices.  The coordinator keeps no structure store: each
-in-flight batch carries its tasks' structures and sends only those its
-shard lacks, so a batch sent again after a crash re-ships from itself.
+per shard: a server decodes its own copy of the two column matrices.
+The coordinator keeps no structure store: each in-flight batch carries
+its tasks' structures and sends only those its shard lacks, so a batch
+sent again after a crash re-ships from itself.
 
 The coordinator serves exact Gamma: ``want`` is ``"gamma"`` or
 ``"entry"``.
 
 Fault handling: a batch is re-dispatched when its shard is found dead
-(respawned workers and reconnected servers start warm from snapshots);
+(re-forked and reconnected servers start warm from snapshots);
 the batch's :class:`ShardReport` is flagged ``retried``.  A shard that
 keeps dying past the transport's ``max_restarts`` raises
 :class:`~repro.errors.WorkerCrashError` instead of looping forever.
@@ -77,7 +78,6 @@ from repro.service.protocol import (
     MSG_BATCH,
     MSG_ERROR,
     MSG_OVERLOAD,
-    MSG_STOPPED,
     WANT_GAMMA,
     GammaBatch,
     GammaTask,
@@ -155,7 +155,7 @@ class _PendingRequest:
 
 
 class ShardCoordinator:
-    """Transport-agnostic (in-process / multiprocess / socket) Gamma service."""
+    """Transport-agnostic (in-process / forked servers / socket) Gamma service."""
 
     def __init__(
         self,
@@ -167,12 +167,9 @@ class ShardCoordinator:
         budget_bytes: int | None = None,
         total_budget_bytes: int | None = None,
         snapshot_dir: str | None = None,
-        start_method: str | None = None,
         task_timeout: float = 120.0,
         max_restarts: int = 3,
         probe_interval: float | None = None,
-        rebalance: bool = True,
-        ring_slack: int = 1,
         coalesce: int = 0,
         tls_ca: str | None = None,
         ssl_context=None,
@@ -188,11 +185,8 @@ class ShardCoordinator:
                 budget_bytes=budget_bytes,
                 total_budget_bytes=total_budget_bytes,
                 snapshot_dir=snapshot_dir,
-                start_method=start_method,
                 max_restarts=max_restarts,
                 probe_interval=probe_interval,
-                rebalance=rebalance,
-                ring_slack=ring_slack,
                 tls_ca=tls_ca,
                 ssl_context=ssl_context,
                 auth_token=auth_token,
@@ -201,7 +195,7 @@ class ShardCoordinator:
         #: The transport whose kernels :meth:`evaluate` and :meth:`gammas`
         #: read directly, or ``None`` when evaluation runs elsewhere.
         self._local = transport if isinstance(transport, InProcessTransport) else None
-        #: Kept for introspection/compat: 0 means "no local worker pool".
+        #: 0 in process, else how many shards the transport routes to.
         self.workers = 0 if self._local is not None else transport.shard_count
         self.task_timeout = float(task_timeout)
         self._task_ids = itertools.count(1)
@@ -241,10 +235,9 @@ class ShardCoordinator:
         #: evaluate() -> collect() -> _pump all run under one holder.
         #: Evaluation itself is only serialized on the in-process
         #: transport (whose submit and direct reads compute synchronously
-        #: under this lock -- the registry is not thread-safe); remote and
-        #: multiprocess shards keep evaluating in parallel because the
-        #: lock is released while their processes work and only taken for
-        #: the 50 ms poll slices of the pump.
+        #: under this lock -- the registry is not thread-safe); servers
+        #: keep evaluating in parallel because the lock is released while
+        #: they work and only taken for the 50 ms poll slices of the pump.
         self._lock = threading.RLock()
         #: Membership-change accounting (elastic pools).  Guarded by its
         #: own small lock, NOT self._lock: the pool's prober thread
@@ -474,7 +467,7 @@ class ShardCoordinator:
     ) -> list[TaskResult]:
         """Evaluate every request, preserving request order in the result.
 
-        Remote and multiprocess transports run one ``submit`` +
+        Every other transport runs one ``submit`` +
         ``collect``.  In process, each request is read straight from the
         transport's kernel (:meth:`InProcessTransport.entries
         <repro.service.transport.InProcessTransport.entries>`) under the
@@ -601,8 +594,6 @@ class ShardCoordinator:
                 )
             return deadline
         kind = message[0]
-        if kind == MSG_STOPPED:  # stale shutdown ack from a replaced worker
-            return deadline
         if kind == MSG_OVERLOAD:
             # Admission control shed the batch server-side: bank a typed
             # failure (with the server's retry hint) on every member
@@ -663,7 +654,7 @@ class ShardCoordinator:
         member_ids = self._batch_requests.pop(batch_id, None)
         batch = self._inflight_batches.pop(batch_id, None)
         if member_ids is None or batch is None:
-            # Completed by both a dead worker and its replacement, or
+            # Completed by both a dead shard and its replacement, or
             # belonged to a discarded speculation; results are
             # deterministic, so dropping this copy is always safe.
             return deadline
@@ -723,7 +714,7 @@ class ShardCoordinator:
 
     @property
     def preloaded_entries(self) -> int:
-        """Cache entries restored from snapshots at (worker/server) start."""
+        """Cache entries restored from snapshots at (server) start."""
         with self._lock:
             local = self.transport.preloaded_entries
             if local is not None:

@@ -11,15 +11,16 @@ the kernel's cached entries.
 Two flows feed the store:
 
 * **shutdown snapshots** -- :meth:`KernelSnapshotStore.snapshot_registry`
-  dumps every kernel's live entries when a worker (or the in-process
+  dumps every kernel's live entries when a server (or the in-process
   coordinator) shuts down;
 * **eviction spills** -- armed as the registry's ``eviction_sink``, the
   store buffers entries evicted under a byte budget so they reappear in
   the next snapshot instead of being lost (disk is the overflow tier of
   the cross-kernel LRU).
 
-On worker start, :meth:`warm_registry` restores every snapshot the shard
-owns, so repeated sweeps skip cold-start entirely: preloaded entries are
+On start, :meth:`warm_registry` restores every snapshot in the
+directory (each forked server of ``ShardCoordinator(workers=N)`` has its
+own), so repeated sweeps skip cold-start entirely: preloaded entries are
 served as cache hits and counted in the kernels' ``preloaded`` counter.
 
 Snapshots are pickles of plain data: payloads are *frozen* to pure
@@ -39,7 +40,7 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ServiceError
 from repro.privacy import columnar
@@ -282,23 +283,13 @@ class KernelSnapshotStore:
             if snapshot is not None:
                 yield snapshot
 
-    def warm_registry(
-        self,
-        registry: GammaKernelRegistry,
-        *,
-        owns: Callable[[str], bool] | None = None,
-    ) -> int:
-        """Preload every owned snapshot into ``registry``'s kernels.
+    def warm_registry(self, registry: GammaKernelRegistry) -> int:
+        """Preload every snapshot into ``registry``'s kernels.
 
-        ``owns`` filters by signature -- a shard passes its ownership
-        predicate so it only pays memory for structures the coordinator
-        will actually route to it (the shard map is signature-stable).
         Returns the number of cache entries preloaded.
         """
         preloaded = 0
         for structure, entries in self.iter_snapshots():
-            if owns is not None and not owns(structure.signature):
-                continue
             kernel = registry.ensure_kernel(structure)
             preloaded += kernel.import_entries(entries)
         return preloaded

@@ -140,8 +140,6 @@ class PooledTransport(Transport):
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         max_restarts: int = 3,
         probe_interval: float | None = 1.0,
-        rebalance: bool = True,
-        ring_slack: int = 1,
         ssl_context: "ssl.SSLContext | None" = None,
         auth_token: str | None = None,
     ) -> None:
@@ -152,15 +150,11 @@ class PooledTransport(Transport):
         self._max_restarts = int(max_restarts)
         self._ssl_context = ssl_context
         self._auth_token = auth_token
-        self._rebalance = bool(rebalance)
         self._endpoints: list[_PoolEndpoint] = []
         for index, address in enumerate(addresses):
             transport = self._fresh_transport(address)
             self._endpoints.append(_PoolEndpoint(index, address, transport))
-        self._ring = HashRing(
-            [endpoint.identity for endpoint in self._endpoints],
-            slack=ring_slack,
-        )
+        self._ring = HashRing([endpoint.identity for endpoint in self._endpoints])
         #: Logical shard -> endpoint index; always ``ring.assign(live)``.
         self._routing: list[int] = list(self._ring.assign(self._live_set()))
         #: Membership epoch: bumped on every loss and re-admission.
@@ -276,9 +270,6 @@ class PooledTransport(Transport):
         return frozenset(
             endpoint.index for endpoint in self._endpoints if not endpoint.lost
         )
-
-    def _live_endpoints(self) -> list[_PoolEndpoint]:
-        return [endpoint for endpoint in self._endpoints if not endpoint.lost]
 
     def _endpoint_for(self, shard_id: int) -> SocketTransport:
         endpoint = self._endpoints[self._routing[shard_id]]
@@ -537,8 +528,7 @@ class PooledTransport(Transport):
             endpoint.probe_backoff.reset()
             self._readmissions += 1
             moved = self._rebalance_locked()
-            if self._rebalance:
-                self._pending_handoffs.extend(moved)
+            self._pending_handoffs.extend(moved)
             event: MembershipEvent = (
                 "readmitted",
                 endpoint.index,
@@ -692,7 +682,7 @@ class PooledTransport(Transport):
                 endpoint.index for endpoint in self._endpoints if endpoint.lost
             ]
             return (
-                f"PooledTransport(endpoints={len(self._endpoints)}, "
+                f"{type(self).__name__}(endpoints={len(self._endpoints)}, "
                 f"lost={lost}, epoch={self._epoch}, "
                 f"failovers={self._failovers}, "
                 f"readmissions={self._readmissions})"

@@ -23,12 +23,11 @@ or values.
   ``want="entry"``, the full kernel-entry payload) back;
   :class:`ShardReport` carries the shard's merged ``kernel_stats`` and
   warm-start gauges, is flagged ``retried`` by the coordinator when the
-  batch had to be re-dispatched after a worker crash, and
+  batch had to be re-dispatched after a shard crash, and
   (coordinator-side) records the dispatch-to-result latency of its
   batch.
 
-Everything here is a plain dataclass over ints, strings and tuples, so
-batches pickle cheaply under either multiprocessing start method.
+Everything here is a plain dataclass over ints, strings and tuples.
 
 **Transport-neutral encoding.**  Every protocol object has a *wire form*
 built from nothing but lists, dicts, strings, bytes, ints, floats, bools
@@ -57,13 +56,6 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.privacy.kernel_registry import RelationStructure
-
-#: Control message asking a worker to snapshot its kernels and exit.
-SHUTDOWN = "__shutdown__"
-
-#: Control message making a worker die abruptly (``os._exit``) *without*
-#: snapshotting -- the crash-recovery test hook.
-CRASH = "__crash__"
 
 #: ``GammaTask.want`` values: return only the Gamma, or the full entry.
 WANT_GAMMA = "gamma"

@@ -1,10 +1,9 @@
 """Transports of the Gamma evaluation service: how batches reach kernels.
 
-PR 3's coordinator was welded to multiprocessing queues on one host;
-this module separates the *policy* layer (routing, retry, structure
+This module separates the *policy* layer (routing, retry, structure
 shipping, result correlation -- :mod:`repro.service.coordinator`) from
 the *mechanics* of moving a :class:`~repro.service.protocol.GammaBatch`
-to a warm kernel and a result back.  A :class:`Transport` owns worker
+to a warm kernel and a result back.  A :class:`Transport` owns shard
 lifecycle and crash signaling; the coordinator drives any of them
 through the same six verbs (``unshipped`` / ``submit`` / ``poll`` /
 ``crashed_shards`` / ``recover`` / ``close``):
@@ -16,25 +15,22 @@ through the same six verbs (``unshipped`` / ``submit`` / ``poll`` /
   coordinator's synchronous calls).  This is the ``workers=0`` fallback
   and the oracle every other transport is property-tested
   byte-identical against.
-* :class:`MultiprocessTransport` -- PR 3's sharded worker pool (one
-  :class:`~repro.privacy.kernel_registry.GammaKernelRegistry` shard per
-  process, queues per shard, crash detection by liveness probe,
-  respawn with warm-snapshot preload), extracted out of the old
-  ``ShardCoordinator``.
 * :class:`SocketTransport` -- length-prefixed frames of plain data
   (:mod:`repro.service.protocol`) over a unix-domain or TCP
   socket to a standalone :mod:`repro.service.server` process, so
   several client processes -- or machines -- share one warm
-  multi-tenant kernel service.  A broken connection is signaled exactly
-  like a crashed worker: ``crashed_shards`` reports it, ``recover``
-  reconnects (bounded by ``max_restarts``), and the coordinator
-  re-ships and re-dispatches the affected batches.
-
+  multi-tenant kernel service.  A broken connection is how a shard
+  fails: ``crashed_shards`` reports it, ``recover`` reconnects (bounded
+  by ``max_restarts``), and the coordinator re-ships and re-dispatches
+  the affected batches.
 * :class:`~repro.service.pool.PooledTransport` (in
   :mod:`repro.service.pool`) -- HyProv-style federation: several
   :class:`SocketTransport` connections to independent servers, one
   logical shard each, with per-endpoint reconnect and failover
   re-routing of shards whose endpoint is lost for good.
+* :class:`~repro.service.forked.ForkedServerPool` (in
+  :mod:`repro.service.forked`) -- ``workers=N``: a pool over N forked
+  servers it owns, re-forked on crash.
 
 Transports never interpret results; correlation by ``batch_id`` /
 ``request_id``, ordering and retry accounting stay in the coordinator,
@@ -45,8 +41,6 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import multiprocessing
-import queue as queue_module
 import random
 import socket
 import ssl
@@ -62,7 +56,6 @@ from repro.privacy.kernel_registry import (
 )
 from repro.service.persistence import KernelSnapshotStore
 from repro.service.protocol import (
-    CRASH,
     MSG_BATCH,
     MSG_EXPORT,
     MSG_EXPORTED,
@@ -71,7 +64,6 @@ from repro.service.protocol import (
     MSG_PING,
     MSG_PONG,
     MSG_STATS,
-    SHUTDOWN,
     GammaBatch,
     ShardReport,
     TaskResult,
@@ -84,7 +76,7 @@ from repro.service.security import (
     expect_auth_reply,
     send_token,
 )
-from repro.service.worker import kernel_entries, process_batch, serve_shard
+from repro.service.worker import kernel_entries, process_batch
 
 #: The one connect/probe timeout default for the whole socket layer.
 #: ``connect()``, :func:`probe_endpoint`, :class:`SocketTransport` and
@@ -206,11 +198,12 @@ class TransportSendError(ServiceError):
 class Transport(abc.ABC):
     """How batches reach warm kernels and results come back.
 
-    One *shard* is one failure/warmth domain: a worker process, or a
-    remote server connection.  The coordinator routes tasks to shards
-    by structure signature, ships each structure at most once per shard
-    lifetime (``unshipped`` tracks that; a recovered shard forgets), and
-    interprets the messages ``poll`` yields.
+    One *shard* is one failure/warmth domain: a server connection (to
+    a standalone or a forked server), or the in-process registry.  The
+    coordinator routes tasks to shards by structure signature, ships
+    each structure at most once per shard lifetime (``unshipped`` tracks
+    that; a recovered shard forgets), and interprets the messages
+    ``poll`` yields.
     """
 
     #: Human-readable transport name (experiment tables, repr).
@@ -284,7 +277,7 @@ class InProcessTransport(Transport):
     """Synchronous evaluation against a local registry (no processes).
 
     ``submit`` runs :func:`~repro.service.worker.process_batch` --
-    literally the code a worker process would run -- and queues the
+    literally the code every server runs per batch -- and queues the
     completion message for ``poll``, so the coordinator's
     ``submit``/``collect`` drive the in-process and sharded paths through
     one code path.  The coordinator's synchronous ``evaluate``/``gammas``
@@ -474,187 +467,6 @@ class InProcessTransport(Transport):
         self._closed = True
         if snapshot and self.store is not None:
             self.store.snapshot_registry(self.registry)
-
-
-# ---------------------------------------------------------------------- #
-# Multiprocess: one registry shard per worker process (PR 3's pool)
-# ---------------------------------------------------------------------- #
-class _Shard:
-    """Transport-side state of one worker process."""
-
-    __slots__ = ("shard_id", "process", "task_queue", "shipped", "restarts")
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.process = None
-        self.task_queue = None
-        #: Structure signatures already shipped to the live process.
-        self.shipped: set[str] = set()
-        self.restarts = 0
-
-
-class MultiprocessTransport(Transport):
-    """Queues to a pool of worker processes on this host.
-
-    Each worker owns the :class:`GammaKernelRegistry` shard of the
-    signatures hashing to it and preloads its own snapshots on (re)start
-    -- see :func:`~repro.service.worker.serve_shard`.  A dead worker is
-    detected by liveness probe, replaced with a fresh queue, and its
-    shipped-structure set reset so the coordinator re-ships.
-    """
-
-    name = "multiprocess"
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        budget_bytes: int | None = None,
-        total_budget_bytes: int | None = None,
-        snapshot_dir: str | None = None,
-        start_method: str | None = None,
-        max_restarts: int = 3,
-    ) -> None:
-        if workers < 1:
-            raise ServiceError(f"worker count must be >= 1, got {workers}")
-        self.workers = int(workers)
-        self.max_restarts = int(max_restarts)
-        self._budget_bytes = budget_bytes
-        self._total_budget_bytes = total_budget_bytes
-        self.snapshot_dir = None if snapshot_dir is None else str(snapshot_dir)
-        methods = multiprocessing.get_all_start_methods()
-        chosen = start_method or ("fork" if "fork" in methods else "spawn")
-        if chosen not in methods:
-            raise ServiceError(
-                f"start method {chosen!r} unavailable (have {methods})"
-            )
-        self._context = multiprocessing.get_context(chosen)
-        self._result_queue = self._context.Queue()
-        self._shards: list[_Shard] = []
-        self._closed = False
-        for shard_id in range(self.workers):
-            shard = _Shard(shard_id)
-            self._start_worker(shard)
-            self._shards.append(shard)
-
-    # -- worker lifecycle ------------------------------------------------
-    def _start_worker(self, shard: _Shard) -> None:
-        shard.task_queue = self._context.Queue()
-        shard.shipped = set()
-        shard.process = self._context.Process(
-            target=serve_shard,
-            args=(
-                shard.shard_id,
-                self.workers,
-                shard.task_queue,
-                self._result_queue,
-                self._budget_bytes,
-                self._total_budget_bytes,
-                self.snapshot_dir,
-            ),
-            daemon=True,
-            name=f"gamma-shard-{shard.shard_id}",
-        )
-        shard.process.start()
-
-    @property
-    def shard_count(self) -> int:
-        return self.workers
-
-    def unshipped(self, shard_id: int, signatures: Iterable[str]) -> set[str]:
-        shipped = self._shards[shard_id].shipped
-        return {signature for signature in signatures if signature not in shipped}
-
-    def mark_shipped(self, shard_id: int, signatures: Iterable[str]) -> None:
-        self._shards[shard_id].shipped.update(signatures)
-
-    def submit(self, batch: GammaBatch) -> None:
-        try:
-            self._shards[batch.shard_id].task_queue.put(batch)
-        except (ValueError, OSError) as exc:
-            raise TransportSendError(
-                f"shard {batch.shard_id} queue rejected batch "
-                f"{batch.batch_id}: {exc}"
-            ) from exc
-
-    def poll(self, timeout: float) -> tuple | None:
-        try:
-            return self._result_queue.get(timeout=timeout)
-        except queue_module.Empty:
-            return None
-
-    def crashed_shards(self, shard_ids: Iterable[int]) -> tuple[int, ...]:
-        return tuple(
-            shard_id
-            for shard_id in shard_ids
-            if not self._shards[shard_id].process.is_alive()
-        )
-
-    def recover(self, shard_id: int) -> None:
-        """Replace a dead worker (fresh queue -- the old one is suspect)."""
-        shard = self._shards[shard_id]
-        if shard.restarts >= self.max_restarts:
-            raise WorkerCrashError(
-                f"shard {shard.shard_id} died {shard.restarts + 1} times "
-                f"(max_restarts={self.max_restarts}); giving up"
-            )
-        shard.process.join(timeout=0.5)
-        old_queue = shard.task_queue
-        shard.restarts += 1
-        self._start_worker(shard)
-        # Abandon the dead worker's queue without blocking on its feeder.
-        old_queue.cancel_join_thread()
-        old_queue.close()
-
-    @property
-    def restarts(self) -> int:
-        return sum(shard.restarts for shard in self._shards)
-
-    def inject_crash(self, shard_id: int) -> None:
-        self._shards[shard_id].task_queue.put(CRASH)
-
-    def close(self, *, snapshot: bool = True) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        waiting = []
-        for shard in self._shards:
-            if not shard.process.is_alive():
-                continue
-            if snapshot:
-                try:
-                    shard.task_queue.put(SHUTDOWN)
-                    waiting.append(shard.shard_id)
-                except (ValueError, OSError):  # pragma: no cover - queue gone
-                    pass
-        deadline = time.monotonic() + 10.0
-        acked: set[int] = set()
-        while len(acked) < len(waiting) and time.monotonic() < deadline:
-            try:
-                message = self._result_queue.get(timeout=0.1)
-            except queue_module.Empty:
-                if all(
-                    not self._shards[shard_id].process.is_alive()
-                    for shard_id in waiting
-                    if shard_id not in acked
-                ):
-                    break
-                continue
-            if message[0] == "stopped":
-                acked.add(message[1])
-        for shard in self._shards:
-            if shard.shard_id not in waiting and shard.process.is_alive():
-                # Sent no SHUTDOWN (nothing to snapshot): a timed join
-                # would only wait out its timeout before terminating.
-                shard.process.terminate()
-            shard.process.join(timeout=2.0)
-            if shard.process.is_alive():
-                shard.process.terminate()
-                shard.process.join(timeout=2.0)
-            shard.task_queue.cancel_join_thread()
-            shard.task_queue.close()
-        self._result_queue.cancel_join_thread()
-        self._result_queue.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -1141,11 +953,8 @@ def build_transport(
     budget_bytes: int | None = None,
     total_budget_bytes: int | None = None,
     snapshot_dir: str | None = None,
-    start_method: str | None = None,
     max_restarts: int = 3,
     probe_interval: float | None = None,
-    rebalance: bool = True,
-    ring_slack: int = 1,
     ssl_context: ssl.SSLContext | None = None,
     tls_ca: str | None = None,
     auth_token: str | None = None,
@@ -1154,9 +963,8 @@ def build_transport(
 
     ``endpoints`` (several server addresses) selects the federated
     connection pool; ``address`` (one server) the single-connection
-    socket transport; otherwise ``workers`` picks in-process (0) or the
-    multiprocess pool (>= 1), mirroring the pre-transport
-    ``ShardCoordinator(workers=...)`` behavior.
+    socket transport; otherwise ``workers`` picks in-process (0) or a
+    pool over that many forked servers (>= 1).
 
     ``tls_ca`` pins the CA (or the self-signed server certificate
     itself) that ``tls://`` endpoints must present; ``ssl_context``
@@ -1174,8 +982,6 @@ def build_transport(
             endpoints,
             max_restarts=max_restarts,
             probe_interval=probe_interval,
-            rebalance=rebalance,
-            ring_slack=ring_slack,
             ssl_context=ssl_context,
             auth_token=auth_token,
         )
@@ -1194,11 +1000,12 @@ def build_transport(
             total_budget_bytes=total_budget_bytes,
             snapshot_dir=snapshot_dir,
         )
-    return MultiprocessTransport(
+    from repro.service.forked import ForkedServerPool
+
+    return ForkedServerPool(
         workers,
         budget_bytes=budget_bytes,
         total_budget_bytes=total_budget_bytes,
         snapshot_dir=snapshot_dir,
-        start_method=start_method,
         max_restarts=max_restarts,
     )

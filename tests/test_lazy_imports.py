@@ -216,8 +216,52 @@ class TestImportBudget:
         )
         assert "repro.service.coordinator" in loaded
 
+    def test_inprocess_and_socket_solves_load_no_multiprocessing(self):
+        # Only ``workers=N`` forks processes; an in-process solve and a
+        # socket client (with its server in a thread) never load
+        # multiprocessing.
+        loaded = _loaded_after(
+            """
+            import os, tempfile
+            from repro.privacy import (
+                ModuleRelation,
+                WorkflowPrivacyRequirements,
+                exact_secure_view,
+            )
+            from repro.service import GammaServer, ShardCoordinator
+
+            def requirements():
+                built = WorkflowPrivacyRequirements()
+                for index in range(2):
+                    built.add(
+                        ModuleRelation.random(
+                            f"M{index}", n_inputs=2, n_outputs=2,
+                            domain_size=3, seed=70 + index,
+                        ),
+                        2 + index,
+                    )
+                return built
+
+            with ShardCoordinator(0) as local:
+                expected = exact_secure_view(requirements(), service=local)
+            with tempfile.TemporaryDirectory() as directory:
+                path = os.path.join(directory, "gamma.sock")
+                with GammaServer(("unix", path)) as server:
+                    with ShardCoordinator(address=server.address) as client:
+                        result = exact_secure_view(
+                            requirements(), service=client
+                        )
+            assert (result.hidden_labels, result.cost) == (
+                expected.hidden_labels,
+                expected.cost,
+            )
+            """
+        )
+        assert "repro.service.transport" in loaded
+        assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+
     def test_fork_sweep_loads_no_shared_memory(self):
-        # Structures reach worker processes by value: no shared-memory
+        # Structures reach forked servers by value: no shared-memory
         # segment is published, so the module is never imported.
         loaded = _loaded_after(
             """
@@ -229,7 +273,7 @@ class TestImportBudget:
                 (relation.structure_signature, *relation.visibility_of(()))
                 for relation in relations
             ]
-            with ShardCoordinator(2, start_method="fork") as client:
+            with ShardCoordinator(2) as client:
                 assert client.gammas(requests) == [
                     relation.achieved_gamma(()) for relation in relations
                 ]

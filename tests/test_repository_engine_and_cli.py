@@ -154,6 +154,12 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_experiment_command_has_no_rebalance_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiment", "E11", "--no-rebalance"])
+        assert exit_info.value.code == 2
+        assert "--no-rebalance" in capsys.readouterr().err
+
     def test_search_command(self, capsys):
         assert main(["search", "Database, Disorder Risks", "--level", "1"]) == 0
         output = capsys.readouterr().out

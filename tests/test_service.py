@@ -3,8 +3,9 @@
 Covers the ISSUE-3 contracts: sharded results byte-identical to the
 in-process kernel (Hypothesis equivalence), kernel snapshot round-trips
 (persist -> restore -> identical ``entry()`` payloads and counters),
-registry-wide cross-kernel LRU eviction order, worker-crash recovery
-(task rerouted, shard report flags the retry), and the secure-view /
+registry-wide cross-kernel LRU eviction order, forked-server crash
+recovery (server re-forked, batch retried, shard report flags the
+retry), and the secure-view /
 guarantees integration.
 """
 
@@ -32,10 +33,12 @@ from repro.privacy.workflow_privacy import (
     exact_secure_view,
 )
 from repro.service import (
+    GammaBatch,
     GammaServer,
     GammaTask,
     KernelSnapshotStore,
     ShardCoordinator,
+    build_transport,
     merge_kernel_stats,
     shard_of,
 )
@@ -350,7 +353,7 @@ class TestCrashRecovery:
             assert stats["worker_restarts"] >= 1
             assert stats["retried_batches"] >= 1
 
-    def test_spawned_workers_match_in_process_and_recover(self):
+    def test_one_crashed_server_is_reforked_and_matches_in_process(self):
         relations = [
             ModuleRelation.random(f"S{i}", n_inputs=2, n_outputs=2, seed=620 + i)
             for i in range(4)
@@ -360,10 +363,11 @@ class TestCrashRecovery:
         requests = [req for r in relations for req in entry_requests(r)]
         with ShardCoordinator(0) as oracle:
             expected = oracle.gammas(requests)
-        with ShardCoordinator(2, start_method="spawn") as coordinator:
+        with ShardCoordinator(2) as coordinator:
             assert coordinator.gammas(requests) == expected
-            # The respawned worker holds no structure: the coordinator
-            # re-ships the lost shard's structures by value.
+            # No snapshot directory: the re-forked server holds no
+            # structure, so the coordinator re-ships the lost shard's
+            # structures by value.
             coordinator.inject_crash(0)
             assert coordinator.gammas(requests) == expected
             assert coordinator.worker_restarts == 1
@@ -371,14 +375,35 @@ class TestCrashRecovery:
 
     def test_stale_error_message_does_not_poison_next_call(self):
         relation = ModuleRelation.random("P", seed=45)
+        signature = relation.structure_signature.signature
         coordinator = ShardCoordinator(2)
         try:
-            # A leftover from a failed earlier call must be discarded,
-            # not raised against this (unrelated) evaluation.
-            coordinator.transport._result_queue.put(("error", 0, 999_999, "old failure"))
+            # A batch sent past the coordinator, for a structure no
+            # server holds: the server answers with an error for a batch
+            # id no request owns.  It reaches the coordinator first on
+            # the shard's connection and must be discarded, not raised
+            # against this (unrelated) evaluation.
+            coordinator.transport.submit(
+                GammaBatch(
+                    999_999,
+                    shard_of(signature, 2),
+                    (GammaTask(999_999, "ab" * 16, (), ()),),
+                )
+            )
             assert coordinator.gammas(entry_requests(relation))
+            assert coordinator.transport.fetch_stats()["server_errors"] == 1
         finally:
             coordinator.close(snapshot=False)
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [("start_method", "fork"), ("rebalance", False), ("ring_slack", 2)],
+    )
+    def test_removed_transport_keywords_raise_type_error(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            ShardCoordinator(2, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            build_transport(2, **{name: value})
 
     def test_crash_injection_requires_workers(self):
         with pytest.raises(ServiceError):
@@ -389,13 +414,25 @@ class TestCrashRecovery:
         try:
             relation = ModuleRelation.random("P", seed=44)
             coordinator.inject_crash(0)
-            coordinator.transport._shards[0].process.join(timeout=5.0)
             from repro.errors import WorkerCrashError
 
             with pytest.raises(WorkerCrashError):
                 coordinator.evaluate(entry_requests(relation))
         finally:
             coordinator.close(snapshot=False)
+
+    def test_server_past_its_budget_fails_over_to_the_survivor(self):
+        relation = ModuleRelation.random("P", seed=44)
+        home = shard_of(relation.structure_signature.signature, 2)
+        requests = entry_requests(relation)
+        with ShardCoordinator(0) as oracle:
+            expected = oracle.gammas(requests)
+        with ShardCoordinator(2, max_restarts=0, task_timeout=10.0) as coordinator:
+            assert coordinator.gammas(requests) == expected
+            coordinator.inject_crash(home)
+            assert coordinator.gammas(requests) == expected
+            assert coordinator.transport.lost_endpoints == (home,)
+            assert coordinator.transport.endpoint_of(home) == 1 - home
 
 
 class TestSecureViewIntegration:

@@ -8,13 +8,15 @@ keeps what is *not* a per-transport contract: frame/wire round-trips
 the data-only frame decoder failing closed (malformed and code-carrying
 payloads, plus a decoder fuzz property), socket-server specifics (shared warm kernels across tenants, the
 registry as the one structure store, restart budgets, the stats probe,
-prompt close), connection-pool unit behavior, the coordinator's
+prompt close), connection-pool unit behavior, the lifecycle of the
+forked servers behind ``workers=N``, the coordinator's
 speculative-error banking and discard bookkeeping, and snapshot-store
 GC + compaction.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -47,6 +49,7 @@ from repro.service import (
     ShardCoordinator,
     SocketTransport,
     parse_address,
+    shard_of,
 )
 from repro.service.protocol import (
     MSG_BATCH,
@@ -903,19 +906,16 @@ class TestPipelinedSecureView:
         relation = ModuleRelation.random("P", n_inputs=2, n_outputs=2, seed=65)
         requests = entry_requests(relation)
         with ShardCoordinator(2, task_timeout=30.0) as coordinator:
-            doomed = coordinator.submit(requests)
-            doomed_batches = [
-                batch_id
-                for batch_id, request_ids in coordinator._batch_requests.items()
-                if doomed in request_ids
-            ]
-            coordinator.transport._result_queue.put(
-                ("error", 0, doomed_batches[0], "injected failure")
+            # An input index the relation lacks fails on the server.  B
+            # and A share a structure, hence a shard and a connection,
+            # so B's error is answered before A's results.
+            doomed = coordinator.submit(
+                [(relation.structure_signature, (7,), ())]
             )
             healthy = coordinator.submit(requests)
             results = coordinator.collect(healthy)
             assert len(results) == len(requests)
-            with pytest.raises(ServiceError, match="injected failure"):
+            with pytest.raises(ServiceError, match="IndexError"):
                 coordinator.collect(doomed)
 
     def test_discard_drops_results_without_leaking_state(self):
@@ -963,6 +963,49 @@ class TestPooledTransportUnits:
             assert stats["pool_endpoints"] == 2
             assert stats["pool_lost_endpoints"] == 0
             assert stats["server_batches"] >= 1
+
+
+class TestForkedServerLifecycle:
+    """Forked servers (``workers=N``) never outlive their coordinator."""
+
+    def _requests(self):
+        relation = ModuleRelation.random("L", n_inputs=2, n_outputs=2, seed=90)
+        return relation.structure_signature.signature, entry_requests(relation)
+
+    def _assert_gone(self, socket_dir):
+        assert multiprocessing.active_children() == []
+        assert not os.path.exists(socket_dir)
+
+    def test_close_stops_every_server(self):
+        _, requests = self._requests()
+        coordinator = ShardCoordinator(2)
+        socket_dir = coordinator.transport.socket_dir
+        assert len(multiprocessing.active_children()) == 2
+        assert coordinator.gammas(requests)
+        coordinator.close()
+        self._assert_gone(socket_dir)
+
+    def test_exception_inside_with_block_stops_every_server(self):
+        _, requests = self._requests()
+        with pytest.raises(RuntimeError, match="mid-sweep"):
+            with ShardCoordinator(2) as coordinator:
+                socket_dir = coordinator.transport.socket_dir
+                assert coordinator.gammas(requests)
+                raise RuntimeError("mid-sweep")
+        self._assert_gone(socket_dir)
+
+    def test_reforked_server_stops_on_close(self):
+        signature, requests = self._requests()
+        with ShardCoordinator(2) as coordinator:
+            socket_dir = coordinator.transport.socket_dir
+            expected = coordinator.gammas(requests)
+            before = {child.pid for child in multiprocessing.active_children()}
+            coordinator.inject_crash(shard_of(signature, 2))
+            assert coordinator.gammas(requests) == expected
+            assert coordinator.worker_restarts == 1
+            after = {child.pid for child in multiprocessing.active_children()}
+            assert len(after) == 2 and len(after - before) == 1
+        self._assert_gone(socket_dir)
 
 
 class TestSnapshotGC:
